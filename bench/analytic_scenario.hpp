@@ -40,7 +40,9 @@ struct AnalyticScenarioConfig {
 
 struct AnalyticScenarioResult {
   /// Ready→successful-end-of-frame latency (ns), bit-time-aligned buckets.
-  Histogram latency{0.0, 0.0, 1};
+  /// Placeholder range (Histogram requires hi > lo); run_analytic_scenario
+  /// replaces it with the bit-time grid.
+  Histogram latency{0.0, 1.0, 1};
   std::uint64_t delivered = 0;  ///< successful instances (histogram count)
   std::uint64_t failures = 0;   ///< fault assumption violated (> k faults)
   int frame_bits = 0;           ///< wire bits of the actual published frame

@@ -224,8 +224,8 @@ int main() {
   const auto t0 = std::chrono::steady_clock::now();
   for (const Point& pt : points) {
     const TopoSpec topo = make_topology(pt.shape, pt.segments, /*seed=*/11);
-    // Engine worker threads: RTEC_BENCH_THREADS caps them (CI pins 2);
-    // default is one per segment up to the host's cores.
+    // Engine threads, the calling thread included: RTEC_BENCH_THREADS caps
+    // them (CI pins 2); default is one per segment up to the host's cores.
     const unsigned threads =
         std::min(bench::sweep_threads(), static_cast<unsigned>(pt.segments));
     const Run seq = median_of(reps, [&] {

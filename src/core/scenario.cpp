@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cstdio>
 #include <string>
+#include <thread>
 
 #include "core/gateway.hpp"
 #include "sched/calendar_io.hpp"
@@ -34,8 +35,16 @@ Scenario::Scenario(Config cfg) : cfg_{cfg} {
     sims_.push_back(std::make_unique<Simulator>());
     engine_.add_shard(*sims_.back());
   }
-  engine_.set_threads(cfg.threads == 0 ? static_cast<unsigned>(shard_count)
-                                       : cfg.threads);
+  unsigned threads = cfg.threads;
+  if (threads == 0) {
+    // Results do not depend on the thread count, only wall time does. The
+    // CPU count is read once per process: the query reads /sys on Linux,
+    // which would dominate the set-up of a small scenario.
+    static const unsigned cpus =
+        std::max(1u, std::thread::hardware_concurrency());
+    threads = std::min(static_cast<unsigned>(shard_count), cpus);
+  }
+  engine_.set_threads(threads);
   engine_.set_lookahead_mode(cfg.lookahead);
   for (int i = 0; i < cfg.networks; ++i)
     networks_.push_back(std::make_unique<Network>(

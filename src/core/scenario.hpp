@@ -56,8 +56,10 @@ class Scenario {
     /// [1, networks]. 1 = one shared kernel (the sequential reference);
     /// `networks` = one kernel per segment (maximum parallelism).
     int shards = 1;
-    /// Worker threads driving shard epochs; 0 = one per shard. 1 runs the
-    /// sharded scenario sequentially (identical results, no concurrency).
+    /// Threads executing shard epochs, the calling thread included (see
+    /// ShardEngine::set_threads); 0 = min(shards, host CPUs). 1 runs the
+    /// sharded scenario sequentially on the caller (identical results, no
+    /// concurrency).
     unsigned threads = 0;
     /// Horizon policy for the conservative engine. kPerLink is the
     /// default; kGlobalMin reproduces the PR 3 coordinator for paired

@@ -7,7 +7,6 @@
 #include <condition_variable>
 #include <functional>
 #include <mutex>
-#include <queue>
 #include <thread>
 #include <utility>
 
@@ -33,32 +32,46 @@ inline void cpu_relax() {
 #endif
 }
 
-/// Scatter/gather worker pool for one run_until call. Workers pull
-/// positions in the engine's active-shard list from a shared counter each
-/// epoch (active shards are independent within an epoch, so which worker
-/// runs which shard cannot affect results).
+/// Executes one active shard's epoch and records its next pending time,
+/// while the kernel is still hot in this thread's cache.
+inline void run_shard(Simulator& sim, TimePoint horizon, TimePoint& next) {
+  sim.run_before(horizon);
+  next = sim.peek_next_time();
+}
+
+}  // namespace
+
+/// Scatter/gather pool that lives as long as its engine. Each epoch the
+/// calling thread and `helpers` helper threads pull positions in the
+/// engine's active-shard list from a shared counter (active shards are
+/// independent within an epoch, so which thread runs which shard cannot
+/// affect results).
 ///
-/// The barrier is adaptive spin-then-park: city-scale runs have epochs of
-/// a few microseconds, where a condvar round-trip per epoch costs more
-/// than the epoch itself. Both sides first spin on an atomic (bounded,
-/// clock-free iteration budget that doubles after a spin hit and halves
-/// after a park, so idle phases fall back to the condvar quickly) and
-/// only then take the mutex. Happens-before edges (TSan-verified):
-/// release/acquire on `epoch_` publishes the coordinator's barrier work
-/// (batch drains, horizon/active arrays) to workers; release/acquire on
-/// `remaining_` publishes every worker's kernel mutations back to the
-/// coordinator. The parked paths re-check their predicate under the
-/// mutex, so a notify can never slip between check and sleep.
+/// The barrier is spin-then-park: city-scale runs have epochs of tens of
+/// microseconds, where a condvar round-trip per epoch costs more than the
+/// epoch itself. Both sides first spin on an atomic for a fixed,
+/// clock-free iteration count and only then take the mutex; parking is
+/// the fallback for oversubscribed hosts and for the time between
+/// run_until calls. Happens-before edges (TSan-verified): release/acquire
+/// on `epoch_` publishes the caller's barrier work (batch drains, kernel
+/// mutations, horizon/active arrays) to helpers; release/acquire on
+/// `remaining_` publishes every helper's kernel mutations and `next_`
+/// entries back to the caller. The parked paths re-check their predicate
+/// under the mutex, so a notify can never slip between check and sleep.
 class EpochPool {
  public:
-  EpochPool(unsigned workers, const std::vector<Simulator*>& shards,
+  EpochPool(unsigned helpers, const std::vector<Simulator*>& shards,
             const std::vector<TimePoint>& horizon,
-            const std::vector<std::uint32_t>& active)
-      : shards_{shards}, horizon_{horizon}, active_{active} {
-    threads_.reserve(workers);
-    for (unsigned i = 0; i < workers; ++i)
-      threads_.emplace_back([this] { worker(); });
+            const std::vector<std::uint32_t>& active,
+            std::vector<TimePoint>& next)
+      : shards_{shards}, horizon_{horizon}, active_{active}, next_{next} {
+    threads_.reserve(helpers);
+    for (unsigned i = 0; i < helpers; ++i)
+      threads_.emplace_back([this] { helper(); });
   }
+
+  EpochPool(const EpochPool&) = delete;
+  EpochPool& operator=(const EpochPool&) = delete;
 
   ~EpochPool() {
     {
@@ -69,8 +82,11 @@ class EpochPool {
     for (std::thread& t : threads_) t.join();
   }
 
-  /// Executes run_before(horizon[s]) for every s in the active list;
-  /// returns when all are done.
+  /// Threads that execute shards, the caller included.
+  [[nodiscard]] std::size_t threads() const { return threads_.size() + 1; }
+
+  /// Executes run_before(horizon[s]) for every s in the active list, on
+  /// the caller and the helpers; returns when all are done.
   void run_epoch() {
     next_item_.store(0, std::memory_order_relaxed);
     remaining_.store(threads_.size(), std::memory_order_relaxed);
@@ -79,50 +95,57 @@ class EpochPool {
       const std::lock_guard<std::mutex> lk{m_};
       cv_start_.notify_all();
     }
-    for (int spins = spin_budget_;
-         remaining_.load(std::memory_order_acquire) != 0; --spins) {
+    work();
+    for (int spins = kSpin; remaining_.load(std::memory_order_acquire) != 0;
+         --spins) {
       if (spins <= 0) {
         std::unique_lock<std::mutex> lk{m_};
-        coordinator_waiting_ = true;
+        caller_waiting_ = true;
         cv_done_.wait(lk, [this] {
           return remaining_.load(std::memory_order_acquire) == 0;
         });
-        coordinator_waiting_ = false;
-        spin_budget_ = std::max(kMinSpin, spin_budget_ / 2);
+        caller_waiting_ = false;
         park_waits_.fetch_add(1, std::memory_order_relaxed);
         return;
       }
       cpu_relax();
     }
-    spin_budget_ = std::min(kMaxSpin, spin_budget_ * 2);
     spin_waits_.fetch_add(1, std::memory_order_relaxed);
   }
 
-  /// Barrier waits resolved without parking (coordinator + workers).
-  /// Stable once run_epoch has returned: worker increments happen-before
-  /// the remaining_ decrement the coordinator waits on.
-  [[nodiscard]] std::uint64_t spin_waits() const {
-    return spin_waits_.load(std::memory_order_acquire);
+  /// Barrier waits resolved without parking (caller + helpers) since the
+  /// last call, which resets the count. Exact between epochs: helper
+  /// increments happen-before the remaining_ decrement the caller waits on.
+  [[nodiscard]] std::uint64_t take_spin_waits() {
+    return spin_waits_.exchange(0, std::memory_order_acq_rel);
   }
-  /// Barrier waits that fell back to the parked condvar path.
-  [[nodiscard]] std::uint64_t park_waits() const {
-    return park_waits_.load(std::memory_order_acquire);
+  /// Barrier waits that fell back to the parked condvar path, likewise.
+  [[nodiscard]] std::uint64_t take_park_waits() {
+    return park_waits_.exchange(0, std::memory_order_acq_rel);
   }
 
  private:
-  // Iteration-count spin budgets (never wall-clock: src/sim is
-  // deterministic-source linted). ~kMaxSpin pause iterations is on the
-  // order of a short epoch; beyond that parking is cheaper.
-  static constexpr int kMinSpin = 1 << 6;
-  static constexpr int kMaxSpin = 1 << 14;
+  // Iteration-count spin budget (never wall-clock: src/sim is
+  // deterministic-source linted). ~kSpin pause iterations outlasts a
+  // typical epoch; beyond that parking is cheaper.
+  static constexpr int kSpin = 1 << 14;
 
-  void worker() {
+  /// Pulls active-shard positions until the list is exhausted.
+  void work() {
+    for (std::size_t i = next_item_.fetch_add(1, std::memory_order_relaxed);
+         i < active_.size();
+         i = next_item_.fetch_add(1, std::memory_order_relaxed)) {
+      const std::uint32_t s = active_[i];
+      run_shard(*shards_[s], horizon_[s], next_[s]);
+    }
+  }
+
+  void helper() {
     std::uint64_t seen = 0;
-    int spin_budget = kMinSpin;
     for (;;) {
       bool parked = false;
-      for (int spins = spin_budget;
-           epoch_.load(std::memory_order_acquire) == seen; --spins) {
+      for (int spins = kSpin; epoch_.load(std::memory_order_acquire) == seen;
+           --spins) {
         if (stop_.load(std::memory_order_acquire)) return;
         if (spins <= 0) {
           std::unique_lock<std::mutex> lk{m_};
@@ -142,28 +165,21 @@ class EpochPool {
       // it); destruction-time waits never reach here.
       (parked ? park_waits_ : spin_waits_)
           .fetch_add(1, std::memory_order_relaxed);
-      // The coordinator waits for remaining_ == 0 before starting the
-      // next epoch, so at most one bump is outstanding here.
+      // The caller waits for remaining_ == 0 before starting the next
+      // epoch, so at most one bump is outstanding here.
       seen = epoch_.load(std::memory_order_acquire);
-      for (std::size_t i =
-               next_item_.fetch_add(1, std::memory_order_relaxed);
-           i < active_.size();
-           i = next_item_.fetch_add(1, std::memory_order_relaxed)) {
-        const std::uint32_t s = active_[i];
-        shards_[s]->run_before(horizon_[s]);
-      }
+      work();
       if (remaining_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
         const std::lock_guard<std::mutex> lk{m_};
-        if (coordinator_waiting_) cv_done_.notify_one();
+        if (caller_waiting_) cv_done_.notify_one();
       }
-      spin_budget = parked ? std::max(kMinSpin, spin_budget / 2)
-                           : std::min(kMaxSpin, spin_budget * 2);
     }
   }
 
   const std::vector<Simulator*>& shards_;
   const std::vector<TimePoint>& horizon_;
   const std::vector<std::uint32_t>& active_;
+  std::vector<TimePoint>& next_;
   std::vector<std::thread> threads_;
   std::mutex m_;
   std::condition_variable cv_start_;
@@ -174,12 +190,12 @@ class EpochPool {
   std::atomic<unsigned> parked_{0};
   std::atomic<std::uint64_t> spin_waits_{0};
   std::atomic<std::uint64_t> park_waits_{0};
-  bool coordinator_waiting_ = false;  ///< guarded by m_
+  bool caller_waiting_ = false;  ///< guarded by m_
   std::atomic<bool> stop_{false};
-  int spin_budget_ = kMinSpin;  ///< coordinator-side, adapted per epoch
 };
 
-}  // namespace
+ShardEngine::ShardEngine() = default;
+ShardEngine::~ShardEngine() = default;
 
 HandoffChannel& ShardEngine::link(std::size_t from, std::size_t to,
                                   Duration latency) {
@@ -225,20 +241,21 @@ void ShardEngine::rebuild_incoming() {
   incoming_dirty_ = false;
 }
 
-TimePoint ShardEngine::drain_and_peek() {
+TimePoint ShardEngine::drain_and_peek(bool peek_all) {
   for (Direction& d : directions_) {
     const std::size_t n = d.batch->drain();
     stats_.handoffs += n;
     if (n > 0) {
       ++stats_.handoff_batches;
       stats_.handoff_bytes += n * HandoffBatch::pending_bytes();
+      if (!peek_all) next_[d.to] = shards_[d.to]->peek_next_time();
     }
   }
+  if (peek_all)
+    for (std::size_t i = 0; i < shards_.size(); ++i)
+      next_[i] = shards_[i]->peek_next_time();
   TimePoint next_min = TimePoint::max();
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    next_[i] = shards_[i]->peek_next_time();
-    next_min = std::min(next_min, next_[i]);
-  }
+  for (const TimePoint n : next_) next_min = std::min(next_min, n);
   return next_min;
 }
 
@@ -258,22 +275,24 @@ void ShardEngine::compute_horizons(TimePoint end_excl, TimePoint next_min) {
     // be closed over. Saturated sources (drained shards, N == max) relax
     // to whatever reaches them through links.
     et_ = next_;
-    // (time, shard), min-first; lazy deletion via the et_ check below.
-    std::priority_queue<std::pair<TimePoint, std::size_t>,
-                        std::vector<std::pair<TimePoint, std::size_t>>,
-                        std::greater<>>
-        q;
+    // (time, shard) min-heap in et_heap_; lazy deletion via the et_ check
+    // below.
+    const auto later = std::greater<>{};
+    et_heap_.clear();
     for (std::size_t i = 0; i < shards_.size(); ++i)
-      if (et_[i] < TimePoint::max()) q.emplace(et_[i], i);
-    while (!q.empty()) {
-      const auto [t, j] = q.top();
-      q.pop();
+      if (et_[i] < TimePoint::max()) et_heap_.emplace_back(et_[i], i);
+    std::make_heap(et_heap_.begin(), et_heap_.end(), later);
+    while (!et_heap_.empty()) {
+      std::pop_heap(et_heap_.begin(), et_heap_.end(), later);
+      const auto [t, j] = et_heap_.back();
+      et_heap_.pop_back();
       if (t > et_[j]) continue;
       for (const Edge& out : outgoing_[j]) {
         const TimePoint reach = saturating_add(t, out.latency);
         if (reach < et_[out.peer]) {
           et_[out.peer] = reach;
-          q.emplace(reach, out.peer);
+          et_heap_.emplace_back(reach, out.peer);
+          std::push_heap(et_heap_.begin(), et_heap_.end(), later);
         }
       }
     }
@@ -312,30 +331,27 @@ void ShardEngine::compute_horizons(TimePoint end_excl, TimePoint next_min) {
 
 void ShardEngine::run_until(TimePoint t) {
   assert(t < TimePoint::max());
-  const auto workers = static_cast<unsigned>(
-      std::min<std::size_t>(threads_, shards_.size()));
+  const auto threads = std::min<std::size_t>(threads_, shards_.size());
   // The horizon bound is exclusive; run_before(t + 1ns) executes every
   // event with timestamp <= t, i.e. run_until(t) semantics.
   const TimePoint end_excl = t + Duration::nanoseconds(1);
 
   if (incoming_dirty_ || incoming_.size() != shards_.size())
     rebuild_incoming();
-  next_.assign(shards_.size(), TimePoint::max());
-  horizon_.assign(shards_.size(), TimePoint::max());
-  active_.clear();
+  next_.resize(shards_.size(), TimePoint::max());
+  horizon_.resize(shards_.size(), TimePoint::max());
   active_.reserve(shards_.size());
   if (stats_.per_shard_runs.size() != shards_.size()) {
     stats_.per_shard_runs.resize(shards_.size(), 0);
     stats_.per_shard_skips.resize(shards_.size(), 0);
   }
-
-  std::unique_ptr<EpochPool> pool;
-  if (workers > 1)
-    pool = std::make_unique<EpochPool>(workers, shards_, horizon_, active_);
+  if (pool_ && pool_->threads() != threads) pool_.reset();
 
   TimePoint prev_min = TimePoint::max();  // sentinel: no epoch yet
-  for (;;) {
-    const TimePoint next_min = drain_and_peek();
+  // The first barrier peeks every shard: events may have been scheduled
+  // or cancelled from outside since the last call.
+  for (bool first = true;; first = false) {
+    const TimePoint next_min = drain_and_peek(first);
     if (next_min > t) break;
     if (epoch_span_ != nullptr && prev_min != TimePoint::max())
       epoch_span_->record((next_min - prev_min).ns());
@@ -343,19 +359,24 @@ void ShardEngine::run_until(TimePoint t) {
     compute_horizons(end_excl, next_min);
     ++stats_.epochs;
     stats_.shard_runs += active_.size();
-    if (pool && active_.size() > 1) {
-      pool->run_epoch();
+    if (threads > 1 && active_.size() > 1) {
+      if (!pool_)
+        pool_ = std::make_unique<EpochPool>(
+            static_cast<unsigned>(threads - 1), shards_, horizon_, active_,
+            next_);
+      pool_->run_epoch();
     } else {
       // Serial path (and single-active-shard epochs, where the barrier
       // round-trip would cost more than it buys): index order, which is
       // irrelevant to results — active shards are independent within an
       // epoch.
-      for (const std::uint32_t s : active_) shards_[s]->run_before(horizon_[s]);
+      for (const std::uint32_t s : active_)
+        run_shard(*shards_[s], horizon_[s], next_[s]);
     }
   }
-  if (pool) {
-    stats_.barrier_spins += pool->spin_waits();
-    stats_.barrier_parks += pool->park_waits();
+  if (pool_) {
+    stats_.barrier_spins += pool_->take_spin_waits();
+    stats_.barrier_parks += pool_->take_park_waits();
   }
   // All events <= t have executed and every pending handoff releasing
   // <= t has been injected (loop invariant); park each kernel at t.

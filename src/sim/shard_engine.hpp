@@ -72,6 +72,8 @@
 
 namespace rtec {
 
+class EpochPool;
+
 /// Horizon policy for the conservative coordinator.
 enum class LookaheadMode {
   /// Per-shard horizons from incoming links only (default).
@@ -83,7 +85,8 @@ enum class LookaheadMode {
 
 class ShardEngine {
  public:
-  ShardEngine() = default;
+  ShardEngine();
+  ~ShardEngine();
   ShardEngine(const ShardEngine&) = delete;
   ShardEngine& operator=(const ShardEngine&) = delete;
 
@@ -99,9 +102,12 @@ class ShardEngine {
   /// its channels.
   HandoffChannel& link(std::size_t from, std::size_t to, Duration latency);
 
-  /// Worker threads used for parallel epochs (clamped to the shard count;
-  /// <= 1 executes shards in index order on the calling thread, which
-  /// yields byte-identical results).
+  /// Threads that execute shards in parallel epochs, *including* the
+  /// calling thread: n runs the caller plus n - 1 helper threads (clamped
+  /// to the shard count). <= 1 executes shards in index order on the
+  /// calling thread, which yields byte-identical results. The helpers
+  /// live as long as the engine; they are started by the first epoch with
+  /// more than one active shard and restarted only after this changes.
   void set_threads(unsigned n) { threads_ = n == 0 ? 1 : n; }
   [[nodiscard]] unsigned threads() const { return threads_; }
 
@@ -131,10 +137,10 @@ class ShardEngine {
   /// Everything here except the two barrier counters is a pure function
   /// of the scenario (bit-identical across thread counts). barrier_spins
   /// and barrier_parks measure *host* scheduling — how often an epoch
-  /// barrier wait was satisfied by spinning vs falling back to the parked
-  /// condvar — and legitimately vary run to run; they exist to attribute
-  /// parallel overhead (ROADMAP's speedup investigation), not to be
-  /// diffed.
+  /// barrier wait (caller or helper side) was satisfied by spinning vs
+  /// falling back to the parked condvar — and legitimately vary run to
+  /// run; they exist to attribute parallel overhead, not to be diffed.
+  /// They are taken from the helper pool at the end of every run_until.
   struct Stats {
     std::uint64_t epochs = 0;      ///< lockstep windows executed
     std::uint64_t handoffs = 0;    ///< cross-shard handoffs injected
@@ -176,10 +182,13 @@ class ShardEngine {
     Duration latency;
   };
 
-  /// Barrier work: drains every direction batch and refreshes `next_`;
-  /// returns the global minimum next-event time (TimePoint::max() when
-  /// all kernels drained).
-  TimePoint drain_and_peek();
+  /// Barrier work: drains every direction batch and refreshes `next_` for
+  /// the destinations that received handoffs (every shard when
+  /// `peek_all`); returns the global minimum next-event time
+  /// (TimePoint::max() when all kernels drained). Shards that ran this
+  /// epoch refreshed their own entry; a shard that neither ran nor
+  /// received a handoff cannot have changed its queue.
+  TimePoint drain_and_peek(bool peek_all);
   /// Fills `horizon_` and `active_` for one epoch given the global
   /// minimum `next_min` and the exclusive run bound.
   void compute_horizons(TimePoint end_excl, TimePoint next_min);
@@ -196,12 +205,18 @@ class ShardEngine {
   std::vector<TimePoint> et_;       ///< per-shard earliest output time
   std::vector<TimePoint> horizon_;  ///< per-shard epoch horizon (exclusive)
   std::vector<std::uint32_t> active_;  ///< shards with work this epoch
+  /// compute_horizons' Dijkstra queue as a (time, shard) min-heap; kept
+  /// across epochs so a steady-state barrier allocates nothing.
+  std::vector<std::pair<TimePoint, std::size_t>> et_heap_;
   Duration lookahead_ = Duration::max();
   bool has_cross_shard_ = false;
   unsigned threads_ = 1;
   LookaheadMode mode_ = LookaheadMode::kPerLink;
   Stats stats_;
   SpanStats* epoch_span_ = nullptr;  ///< nullptr: profiling disabled
+  /// Helper threads for parallel epochs; declared last so it is joined
+  /// before the vectors it reads are destroyed.
+  std::unique_ptr<EpochPool> pool_;
 };
 
 }  // namespace rtec

@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <initializer_list>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/gateway.hpp"
@@ -45,6 +47,7 @@ struct RunResult {
   std::vector<std::int64_t> precision_ns;        ///< per segment, at end
   std::uint64_t handoffs = 0;
   std::vector<std::string> rteb;  ///< per-segment binary traces (opt-in)
+  unsigned engine_threads = 0;    ///< ShardEngine::threads() as resolved
 };
 
 /// Builds a `segments`-segment scenario (chain: 0-1-2-...; star: 0 is the
@@ -368,6 +371,7 @@ RunResult run_city(const TopoSpec& topo, int shards, unsigned threads,
   for (int net = 0; net < topo.segments; ++net)
     out.precision_ns.push_back(scn.clock_precision(net).ns());
   out.handoffs = scn.shard_engine().stats().handoffs;
+  out.engine_threads = scn.shard_engine().threads();
   if (record_rteb)
     for (int net = 0; net < topo.segments; ++net)
       out.rteb.push_back(scn.rteb(net)->bytes());
@@ -442,6 +446,18 @@ TEST(MultisegCity, RtebByteIdenticalAcrossShardsAndThreads) {
           << "RTEB bytes diverge on segment " << net << " at shards="
           << shards << " threads=" << threads;
   }
+}
+
+TEST(MultisegCity, ZeroThreadsResolvesToHostCpusAndReplays) {
+  // threads = 0 picks one thread per shard but never more than the host
+  // has CPUs, and the result is the same as on the caller alone.
+  const TopoSpec topo = make_topology(TopoShape::kCampusGrid, 64, /*seed=*/11);
+  const RunResult ref = run_city(topo, /*shards=*/64, /*threads=*/1, 40_ms);
+  const RunResult got = run_city(topo, /*shards=*/64, /*threads=*/0, 40_ms);
+  const unsigned cpus = std::max(1u, std::thread::hardware_concurrency());
+  EXPECT_GE(got.engine_threads, 1u);
+  EXPECT_LE(got.engine_threads, std::min(64u, cpus));
+  expect_identical(ref, got, "grid64 threads=0");
 }
 
 TEST(MultisegCity, GridSixteenTwoThreadsQuick) {

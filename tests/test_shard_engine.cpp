@@ -232,19 +232,25 @@ TEST(ShardEngine, PingPongCrossesAtExactLatencyStamps) {
 }
 
 TEST(ShardEngine, BitIdenticalAcrossThreadCounts) {
+  // Thread counts beyond the shard count clamp to it; the run is driven in
+  // slices, so the helper threads are reused across run_until calls.
   std::vector<std::string> ref_a;
   std::vector<std::string> ref_b;
-  for (const unsigned threads : {1u, 2u, 4u}) {
+  for (const unsigned threads : {1u, 2u, 3u, 4u, 8u}) {
     PingPong pp{threads};
     pp.build(20);
-    pp.engine.run_until(at_ns(2'000'000));
+    for (std::int64_t t = 250'000; t <= 2'000'000; t += 250'000)
+      pp.engine.run_until(at_ns(t));
+    const ShardEngine::Stats& st = pp.engine.stats();
     if (threads == 1u) {
       ref_a = pp.log_a;
       ref_b = pp.log_b;
+      EXPECT_EQ(st.barrier_spins + st.barrier_parks, 0u);
       continue;
     }
     EXPECT_EQ(pp.log_a, ref_a) << threads << " threads";
     EXPECT_EQ(pp.log_b, ref_b) << threads << " threads";
+    EXPECT_GT(st.barrier_spins + st.barrier_parks, 0u) << threads << " threads";
   }
   ASSERT_FALSE(ref_a.empty());
 }
@@ -261,6 +267,77 @@ TEST(ShardEngine, RepeatedRunUntilInjectsLeftoverHandoffs) {
   EXPECT_EQ(delivered, 0);
   pp.engine.run_until(at_ns(200'000));
   EXPECT_EQ(delivered, 1);
+}
+
+TEST(ShardEngine, EventScheduledOnIdleShardBetweenCallsFiresAtItsStamp) {
+  // Shard b is empty through the first call, so no epoch runs or feeds it.
+  // An event scheduled on it from outside before the second call must be
+  // seen by that call's first barrier: it fires at its stamp, and the
+  // handoff it sends reaches busy shard a at exactly its release.
+  Simulator a;
+  Simulator b;
+  ShardEngine engine;
+  engine.add_shard(a);
+  engine.add_shard(b);
+  HandoffChannel& ba = engine.link(1, 0, 10_us);
+  engine.link(0, 1, 10_us);
+  engine.set_threads(2);
+
+  std::vector<std::int64_t> a_times;
+  for (int i = 0; i < 300; ++i)
+    a.schedule_at(at_ns(i * 1'000), [&] { a_times.push_back(a.now().ns()); });
+  engine.run_until(at_ns(100'000));
+
+  std::int64_t fired_at = -1;
+  b.schedule_at(at_ns(150'500), [&] {
+    fired_at = b.now().ns();
+    ba.post(b.now(), [&] { a_times.push_back(-a.now().ns()); });
+  });
+  engine.run_until(at_ns(300'000));
+
+  EXPECT_EQ(fired_at, 150'500);
+  const auto it = std::find(a_times.begin(), a_times.end(), -160'500);
+  ASSERT_NE(it, a_times.end());
+  for (auto p = a_times.begin(); p != it; ++p) EXPECT_LT(*p, 160'500);
+  for (auto p = it + 1; p != a_times.end(); ++p) EXPECT_GE(*p, 160'500);
+}
+
+TEST(ShardEngine, HandoffIntoSkippedShardIsDeliveredAtItsRelease) {
+  // Shard b holds one far-future event, so while busy shard a trails it
+  // by less than the link latency b is skipped (pending work, no safe
+  // horizon). A handoff drained into b must refresh its next time at the
+  // barrier: b then runs the delivery at its release and the reply lands
+  // in a's stream at exactly its own release.
+  for (const unsigned threads : {1u, 2u}) {
+    Simulator a;
+    Simulator b;
+    ShardEngine engine;
+    engine.add_shard(a);
+    engine.add_shard(b);
+    HandoffChannel& ab = engine.link(0, 1, 10_us);
+    HandoffChannel& ba = engine.link(1, 0, 10_us);
+    engine.set_threads(threads);
+
+    std::vector<std::int64_t> a_times;
+    std::int64_t b_got = -1;
+    for (int i = 0; i < 400; ++i)
+      a.schedule_at(at_ns(i * 1'000), [&] { a_times.push_back(a.now().ns()); });
+    b.schedule_at(at_ns(500'000), [] {});
+    a.schedule_at(at_ns(50'500), [&] {
+      ab.post(a.now(), [&] {
+        b_got = b.now().ns();
+        ba.post(b.now(), [&] { a_times.push_back(-a.now().ns()); });
+      });
+    });
+    engine.run_until(at_ns(600'000));
+
+    EXPECT_GT(engine.stats().per_shard_skips[1], 0u) << threads << " threads";
+    EXPECT_EQ(b_got, 60'500) << threads << " threads";
+    const auto it = std::find(a_times.begin(), a_times.end(), -70'500);
+    ASSERT_NE(it, a_times.end()) << threads << " threads";
+    for (auto p = a_times.begin(); p != it; ++p) EXPECT_LT(*p, 70'500);
+    for (auto p = it + 1; p != a_times.end(); ++p) EXPECT_GE(*p, 70'500);
+  }
 }
 
 TEST(ShardEngine, IndependentShardsRunInOneEpoch) {
