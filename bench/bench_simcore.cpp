@@ -1,9 +1,9 @@
 // Microbenchmarks (google-benchmark) of the simulation substrate itself:
 // event-queue throughput (schedule / cancel / fire isolated and combined),
-// frame-length computation (cached vs uncached), frame-accurate bus
-// throughput, and middleware publish-path cost. These bound how much
-// simulated traffic the experiment harnesses can afford and guard against
-// performance regressions in the kernel.
+// exact frame-length computation, frame-accurate bus throughput, and
+// middleware publish-path cost. These bound how much simulated traffic the
+// experiment harnesses can afford and guard against performance
+// regressions in the kernel.
 //
 // Results are mirrored to BENCH_simcore.json (items/s per benchmark) so the
 // perf trajectory is trackable PR-over-PR.
@@ -18,6 +18,7 @@
 #include "core/scenario.hpp"
 #include "core/srtec.hpp"
 #include "sim/simulator.hpp"
+#include "util/random.hpp"
 
 using namespace rtec;
 using namespace rtec::literals;
@@ -133,37 +134,28 @@ BENCHMARK(BM_SimulatorTimerCancel)->Arg(4096);
 
 // ------------------------------------------------------------ frame length
 
-// Uncached: full serialization + CRC15 + stuff counting per query (payload
-// mutated every iteration so no caching is possible).
+// Exact stuffed length of one frame: serialization + CRC-15 + stuff
+// counting, as the bus computes it for every attempt. A seeded corpus of
+// 4096 frames (both formats, dlc 0..8, random ids and payloads) is cycled so
+// the branch predictor cannot learn one frame's bit pattern.
 void BM_FrameWireBitsUncached(benchmark::State& state) {
-  CanFrame f;
-  f.id = 0x15a5a5a5 & kMaxExtendedId;
-  f.dlc = 8;
-  f.data = {0x12, 0x34, 0x56, 0x78, 0x9a, 0xbc, 0xde, 0xf0};
+  std::vector<CanFrame> corpus(4096);
+  Rng r{1};
+  for (CanFrame& f : corpus) {
+    f.extended = r.bernoulli(0.5);
+    f.id = static_cast<std::uint32_t>(
+        r.uniform_int(0, f.extended ? kMaxExtendedId : kMaxBaseId));
+    f.dlc = static_cast<std::uint8_t>(r.uniform_int(0, 8));
+    for (auto& b : f.data) b = static_cast<std::uint8_t>(r.uniform_int(0, 255));
+  }
+  std::size_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(frame_wire_bits(f));
-    f.data[0] = static_cast<std::uint8_t>(f.data[0] + 1);
+    benchmark::DoNotOptimize(frame_wire_bits(corpus[i]));
+    i = (i + 1) % corpus.size();
   }
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_FrameWireBitsUncached);
-
-// Cached: the mailbox length cache hit path — what every retransmission
-// attempt pays after the first serialization.
-void BM_FrameWireBitsCached(benchmark::State& state) {
-  Simulator sim;
-  CanController ctl{sim, 1};
-  CanFrame f;
-  f.id = 0x15a5a5a5 & kMaxExtendedId;
-  f.dlc = 8;
-  f.data = {0x12, 0x34, 0x56, 0x78, 0x9a, 0xbc, 0xde, 0xf0};
-  const auto mb = *ctl.submit(f, TxMode::kAutoRetransmit);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(ctl.mailbox_wire_bits(mb));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_FrameWireBitsCached);
 
 // ------------------------------------------------------------ full stack
 

@@ -88,9 +88,7 @@ void CanBus::arbitrate() {
   const CanFrame frame = winner->mailbox_frame(winner_mb);
   const int attempt = winner->mailbox_attempts(winner_mb);
   const TimePoint start = sim_.now();
-  // Cached on the mailbox: retransmission-heavy fault sweeps would otherwise
-  // re-serialize and re-CRC the identical frame on every attempt.
-  const int frame_bits = winner->mailbox_wire_bits(winner_mb);
+  const int frame_bits = frame_wire_bits(frame);
 
   bool success = true;
   int occupied_bits = frame_bits;

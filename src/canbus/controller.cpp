@@ -29,7 +29,6 @@ Expected<CanController::MailboxId, TxError> CanController::submit(
     box.frame = frame;
     box.mode = mode;
     box.attempts = 0;
-    box.wire_bits = -1;  // payload changed: invalidate the length cache
     box.on_result = std::move(on_result);
     invalidate_arb_cache();
     if (bus_ != nullptr) bus_->notify_tx_request();
@@ -53,7 +52,6 @@ bool CanController::rewrite_id(MailboxId mb, std::uint32_t new_id) {
   if (!box.pending || box.transmitting) return false;
   assert(box.frame.extended ? new_id <= kMaxExtendedId : new_id <= kMaxBaseId);
   box.frame.id = new_id;
-  box.wire_bits = -1;  // identifier bits feed stuffing + CRC: invalidate
   invalidate_arb_cache();
   if (bus_ != nullptr) bus_->notify_tx_request();  // may change arbitration order
   return true;
@@ -130,13 +128,6 @@ const CanFrame& CanController::mailbox_frame(MailboxId mb) const {
 int CanController::mailbox_attempts(MailboxId mb) const {
   assert(mb < mailboxes_.size());
   return mailboxes_[mb].attempts;
-}
-
-int CanController::mailbox_wire_bits(MailboxId mb) const {
-  assert(mb < mailboxes_.size() && mailboxes_[mb].pending);
-  const Mailbox& box = mailboxes_[mb];
-  if (box.wire_bits < 0) box.wire_bits = frame_wire_bits(box.frame);
-  return box.wire_bits;
 }
 
 void CanController::on_tx_started(MailboxId mb) {

@@ -126,11 +126,6 @@ class CanController {
   [[nodiscard]] std::optional<MailboxId> arbitration_candidate() const;
   [[nodiscard]] const CanFrame& mailbox_frame(MailboxId mb) const;
   [[nodiscard]] int mailbox_attempts(MailboxId mb) const;
-  /// Exact wire bits of the pending frame, cached on the mailbox so
-  /// retransmission attempts do not re-serialize and re-CRC the frame. The
-  /// cache is invalidated whenever the mailbox content changes (submit,
-  /// rewrite_id).
-  [[nodiscard]] int mailbox_wire_bits(MailboxId mb) const;
 
   void on_tx_started(MailboxId mb);
   void on_tx_completed(MailboxId mb, bool success, TimePoint now);
@@ -149,8 +144,6 @@ class CanController {
     CanFrame frame;
     TxMode mode = TxMode::kAutoRetransmit;
     int attempts = 0;
-    /// Lazily computed frame_wire_bits(frame); -1 = not yet computed.
-    mutable int wire_bits = -1;
     TxResultHandler on_result;
   };
 

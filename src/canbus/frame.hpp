@@ -52,14 +52,19 @@ struct FrameBits {
   int count = 0;
 };
 
-/// Builds the unstuffed stuffable region (including the real CRC-15).
+/// Builds the unstuffed stuffable region (including the real CRC-15) one
+/// bit at a time. With `count_stuff_bits` this is the bit-level reference
+/// that the packed `frame_wire_bits` / `frame_first_difference_bit` are
+/// tested against; the simulated paths do not call it.
 [[nodiscard]] FrameBits frame_stuffable_bits(const CanFrame& f);
 
 /// Number of stuff bits the 5-identical-bits rule inserts into `region`.
 [[nodiscard]] int count_stuff_bits(std::span<const bool> region);
 
 /// Exact number of bits this concrete frame occupies on the wire, from SOF
-/// through the last EOF bit (intermission NOT included).
+/// through the last EOF bit (intermission NOT included). Computed from the
+/// region packed into 64-bit words, with byte-table CRC-15 and stuff-bit
+/// counting (no per-bit loop); equal to the bit-level reference above.
 [[nodiscard]] int frame_wire_bits(const CanFrame& f);
 
 /// Exact wire duration of this frame at the given bus config (intermission

@@ -1,10 +1,131 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "canbus/frame.hpp"
 #include "util/random.hpp"
 
 namespace rtec {
 namespace {
+
+// Bit-level reference: serialize bit by bit, CRC bit by bit, stuff bit by
+// bit. `frame_wire_bits` and `frame_first_difference_bit` work on a packed
+// region with byte tables and must agree with these on every frame.
+int reference_wire_bits(const CanFrame& f) {
+  const FrameBits fb = frame_stuffable_bits(f);
+  const int stuff =
+      count_stuff_bits({fb.bits.data(), static_cast<std::size_t>(fb.count)});
+  return fb.count + stuff + kFrameTailBits;
+}
+
+int reference_first_difference(const CanFrame& a, const CanFrame& b) {
+  const FrameBits fa = frame_stuffable_bits(a);
+  const FrameBits fb = frame_stuffable_bits(b);
+  const int common = fa.count < fb.count ? fa.count : fb.count;
+  for (int i = 0; i < common; ++i)
+    if (fa.bits[static_cast<std::size_t>(i)] !=
+        fb.bits[static_cast<std::size_t>(i)])
+      return i + 1;
+  return fa.count != fb.count ? common + 1 : 0;
+}
+
+std::uint32_t max_id(bool extended) {
+  return extended ? kMaxExtendedId : kMaxBaseId;
+}
+
+CanFrame random_frame(Rng& r) {
+  CanFrame f;
+  f.extended = r.bernoulli(0.5);
+  f.rtr = r.bernoulli(0.1);
+  f.id = static_cast<std::uint32_t>(r.uniform_int(0, max_id(f.extended)));
+  f.dlc = static_cast<std::uint8_t>(r.uniform_int(0, 8));
+  for (auto& b : f.data) b = static_cast<std::uint8_t>(r.uniform_int(0, 255));
+  return f;
+}
+
+/// Both formats x RTR x dlc 0..8 x payloads {00, FF, 55, AA, random} x ids
+/// {0, max, alternating, random}: every field width and shift the packed
+/// path uses, with the all-dominant, all-recessive and never-stuffing
+/// extremes.
+std::vector<CanFrame> structured_corpus() {
+  Rng r{2024};
+  std::vector<CanFrame> out;
+  for (bool extended : {false, true})
+    for (bool rtr : {false, true})
+      for (int dlc = 0; dlc <= 8; ++dlc)
+        for (int payload = 0; payload < 5; ++payload)
+          for (int id_kind = 0; id_kind < 4; ++id_kind) {
+            CanFrame f;
+            f.extended = extended;
+            f.rtr = rtr;
+            f.dlc = static_cast<std::uint8_t>(dlc);
+            const std::uint32_t ids[] = {
+                0, max_id(extended), extended ? 0x15555555u : 0x555u,
+                static_cast<std::uint32_t>(r.uniform_int(0, max_id(extended)))};
+            f.id = ids[id_kind];
+            const std::uint8_t fills[] = {0x00, 0xFF, 0x55, 0xAA};
+            for (auto& b : f.data)
+              b = payload < 4
+                      ? fills[payload]
+                      : static_cast<std::uint8_t>(r.uniform_int(0, 255));
+            out.push_back(f);
+          }
+  return out;
+}
+
+// ------------------------------------------- packed path vs bit reference
+
+TEST(FrameDifferential, StructuredCorpusMatchesReference) {
+  const std::vector<CanFrame> corpus = structured_corpus();
+  ASSERT_EQ(corpus.size(), 2u * 2u * 9u * 5u * 4u);
+  for (std::size_t i = 0; i < corpus.size(); ++i) {
+    const CanFrame& f = corpus[i];
+    ASSERT_EQ(frame_wire_bits(f), reference_wire_bits(f))
+        << "ext " << f.extended << " rtr " << f.rtr << " dlc " << int{f.dlc}
+        << " id 0x" << std::hex << f.id << " data0 0x" << int{f.data[0]};
+    EXPECT_EQ(frame_first_difference_bit(f, f), 0);
+    const CanFrame& prev = corpus[i == 0 ? corpus.size() - 1 : i - 1];
+    ASSERT_EQ(frame_first_difference_bit(prev, f),
+              reference_first_difference(prev, f));
+  }
+}
+
+TEST(FrameDifferential, SeededRandomFramesMatchReference) {
+  Rng r{7};
+  for (int trial = 0; trial < 200'000; ++trial) {
+    const CanFrame f = random_frame(r);
+    ASSERT_EQ(frame_wire_bits(f), reference_wire_bits(f)) << "trial " << trial;
+  }
+}
+
+TEST(FrameDifferential, FirstDifferenceMatchesReference) {
+  Rng r{11};
+  for (int trial = 0; trial < 20'000; ++trial) {
+    const CanFrame a = random_frame(r);
+    // One flipped id bit.
+    CanFrame b = a;
+    b.id ^= 1u << r.uniform_int(0, a.extended ? 28 : 10);
+    ASSERT_EQ(frame_first_difference_bit(a, b),
+              reference_first_difference(a, b));
+    ASSERT_GT(frame_first_difference_bit(a, b), 0);
+    // One flipped data bit; beyond dlc (or in an RTR frame) it is not sent.
+    CanFrame c = a;
+    c.data[static_cast<std::size_t>(r.uniform_int(0, 7))] ^=
+        static_cast<std::uint8_t>(1u << r.uniform_int(0, 7));
+    ASSERT_EQ(frame_first_difference_bit(a, c),
+              reference_first_difference(a, c));
+    // Another dlc.
+    CanFrame d = a;
+    d.dlc = static_cast<std::uint8_t>((a.dlc + r.uniform_int(1, 8)) % 9);
+    ASSERT_EQ(frame_first_difference_bit(a, d),
+              reference_first_difference(a, d));
+    ASSERT_GT(frame_first_difference_bit(a, d), 0);
+    // Unrelated frames, formats mixed.
+    const CanFrame e = random_frame(r);
+    ASSERT_EQ(frame_first_difference_bit(a, e),
+              reference_first_difference(a, e));
+  }
+}
 
 // ------------------------------------------------------------- frame lengths
 

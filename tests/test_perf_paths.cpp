@@ -1,5 +1,6 @@
-// Tests for the PR-2 hot-path optimisations: the cached mailbox wire-bit
-// count (and its invalidation rule) and the deque-backed TaskPool.
+// Tests for the simulator hot paths: the bus times every attempt with the
+// exact length of the frame in the mailbox at arbitration, the memoised
+// arbitration candidate, and the deque-backed TaskPool.
 
 #include <gtest/gtest.h>
 
@@ -7,6 +8,7 @@
 
 #include "canbus/bus.hpp"
 #include "canbus/controller.hpp"
+#include "canbus/fault.hpp"
 #include "canbus/frame.hpp"
 #include "sim/simulator.hpp"
 #include "util/task_pool.hpp"
@@ -24,83 +26,120 @@ CanFrame frame_with(std::uint32_t id, int dlc, std::uint8_t fill) {
   return f;
 }
 
-TEST(MailboxWireBits, MatchesFrameWireBits) {
-  Simulator sim;
-  CanController ctl{sim, 1};
-  for (int dlc : {0, 1, 4, 8}) {
-    const CanFrame f = frame_with(0x2A0u + static_cast<std::uint32_t>(dlc),
-                                  dlc, 0x55);
-    auto mb = ctl.submit(f, TxMode::kSingleShot);
-    ASSERT_TRUE(mb.has_value());
-    EXPECT_EQ(ctl.mailbox_wire_bits(*mb), frame_wire_bits(f));
-    // Second call hits the cache; value must be identical.
-    EXPECT_EQ(ctl.mailbox_wire_bits(*mb), frame_wire_bits(f));
-    ASSERT_TRUE(ctl.abort(*mb));
-  }
-}
-
-TEST(MailboxWireBits, RewriteIdInvalidatesCache) {
-  Simulator sim;
-  CanController ctl{sim, 1};
-  // Choose a payload where the arbitration-field bits change the stuffing
-  // outcome: all-zero extended id vs a mixed one.
-  const CanFrame f = frame_with(0x00000000u, 8, 0x00);
-  auto mb = ctl.submit(f, TxMode::kAutoRetransmit);
-  ASSERT_TRUE(mb.has_value());
-  const int before = ctl.mailbox_wire_bits(*mb);
-  EXPECT_EQ(before, frame_wire_bits(f));
-
-  const std::uint32_t new_id = 0x15555555u;
-  ASSERT_TRUE(ctl.rewrite_id(*mb, new_id));
-  CanFrame rewritten = f;
-  rewritten.id = new_id;
-  const int after = ctl.mailbox_wire_bits(*mb);
-  EXPECT_EQ(after, frame_wire_bits(rewritten));
-  // The all-dominant id maximises stuffing; the rewritten one must differ —
-  // this is what catches a stale cache.
-  EXPECT_NE(before, after);
-}
-
-TEST(MailboxWireBits, MailboxReuseRecomputes) {
-  Simulator sim;
-  CanController ctl{sim, 1};
-  const CanFrame small = frame_with(0x100u, 0, 0);
-  const CanFrame big = frame_with(0x100u, 8, 0xFF);
-
-  auto mb1 = ctl.submit(small, TxMode::kSingleShot);
-  ASSERT_TRUE(mb1.has_value());
-  const int small_bits = ctl.mailbox_wire_bits(*mb1);
-  ASSERT_TRUE(ctl.abort(*mb1));
-
-  // Resubmitting into the now-free mailbox must not see the old cache.
-  auto mb2 = ctl.submit(big, TxMode::kSingleShot);
-  ASSERT_TRUE(mb2.has_value());
-  EXPECT_EQ(*mb1, *mb2);  // same physical mailbox recycled
-  EXPECT_EQ(ctl.mailbox_wire_bits(*mb2), frame_wire_bits(big));
-  EXPECT_NE(ctl.mailbox_wire_bits(*mb2), small_bits);
-}
-
-TEST(MailboxWireBits, BusTimingUnchangedByCache) {
-  // End-to-end: the bus must compute the same end-of-frame times as the
-  // uncached serialization (timing is derived from the same bit count).
+/// One sender and one receiver on a fault-free 1 Mbit/s bus, recording every
+/// bus occupancy.
+struct TimedBus {
   Simulator sim;
   CanBus bus{sim, BusConfig{}};
   CanController tx{sim, 1};
   CanController rx{sim, 2};
-  bus.attach(tx);
-  bus.attach(rx);
+  std::vector<CanBus::FrameEvent> events;
+
+  TimedBus() {
+    bus.attach(tx);
+    bus.attach(rx);
+    bus.add_observer(
+        [this](const CanBus::FrameEvent& ev) { events.push_back(ev); });
+  }
+
+  static std::int64_t wire_ns(const CanFrame& f) {
+    return (BusConfig{}.bit_time() * frame_wire_bits(f)).ns();
+  }
+};
+
+TEST(MailboxWireBits, MatchesFrameWireBits) {
+  // Every attempt occupies the bus for exactly frame_wire_bits of the frame
+  // it carries, and receivers see end-of-frame at that instant.
+  std::vector<CanFrame> frames;
+  for (int dlc : {0, 1, 4, 8})
+    frames.push_back(frame_with(0x2A0u + static_cast<std::uint32_t>(dlc), dlc,
+                                0x55));
+  for (const CanFrame& f : frames) {
+    TimedBus t;
+    TimePoint eof = TimePoint::origin();
+    t.rx.add_rx_listener([&](const CanFrame&, TimePoint at) { eof = at; });
+    ASSERT_TRUE(t.tx.submit(f, TxMode::kSingleShot).has_value());
+    t.sim.run();
+    ASSERT_EQ(t.events.size(), 1u);
+    const CanBus::FrameEvent& ev = t.events[0];
+    EXPECT_TRUE(ev.success);
+    EXPECT_EQ(ev.start, TimePoint::origin());
+    EXPECT_EQ((ev.end - ev.start).ns(), TimedBus::wire_ns(f))
+        << "dlc " << int{f.dlc};
+    EXPECT_EQ(ev.wire_bits, frame_wire_bits(f));
+    EXPECT_EQ(eof, ev.end);
+  }
+}
+
+TEST(MailboxWireBits, RewriteIdRetimesFrame) {
+  // The first attempt of an all-dominant frame is corrupted at its last
+  // bit; the id is rewritten while the mailbox waits for the retry. The
+  // retry must be timed with the rewritten frame, whose stuffing differs.
+  TimedBus t;
+  ScriptedFaults faults{1.0};
+  faults.add_rule([](const FaultContext& ctx) { return ctx.attempt == 1; });
+  t.bus.set_fault_model(&faults);
+  const CanFrame f = frame_with(0x00000000u, 8, 0x00);
+  auto mb = t.tx.submit(f, TxMode::kAutoRetransmit);
+  ASSERT_TRUE(mb.has_value());
+  const std::uint32_t new_id = 0x15555555u;
+  t.bus.add_observer([&](const CanBus::FrameEvent& ev) {
+    if (!ev.success) {
+      EXPECT_TRUE(t.tx.rewrite_id(*mb, new_id));
+    }
+  });
+  t.sim.run();
+
+  CanFrame rewritten = f;
+  rewritten.id = new_id;
+  ASSERT_NE(frame_wire_bits(rewritten), frame_wire_bits(f));
+  ASSERT_EQ(t.events.size(), 2u);
+  EXPECT_FALSE(t.events[0].success);
+  EXPECT_EQ(t.events[0].wire_bits, frame_wire_bits(f) + kErrorFrameBits);
+  EXPECT_TRUE(t.events[1].success);
+  EXPECT_EQ(t.events[1].frame.id, new_id);
+  EXPECT_EQ((t.events[1].end - t.events[1].start).ns(),
+            TimedBus::wire_ns(rewritten));
+}
+
+TEST(MailboxWireBits, MailboxReuseRecomputes) {
+  TimedBus t;
+  const CanFrame small = frame_with(0x100u, 0, 0);
+  const CanFrame big = frame_with(0x100u, 8, 0xFF);
+
+  auto mb1 = t.tx.submit(small, TxMode::kSingleShot);
+  ASSERT_TRUE(mb1.has_value());
+  t.sim.run();
+
+  // The transmission released the mailbox; the next frame recycles it and
+  // must be timed with its own length.
+  auto mb2 = t.tx.submit(big, TxMode::kSingleShot);
+  ASSERT_TRUE(mb2.has_value());
+  EXPECT_EQ(*mb1, *mb2);
+  t.sim.run();
+  ASSERT_EQ(t.events.size(), 2u);
+  EXPECT_EQ((t.events[0].end - t.events[0].start).ns(),
+            TimedBus::wire_ns(small));
+  EXPECT_EQ((t.events[1].end - t.events[1].start).ns(),
+            TimedBus::wire_ns(big));
+  EXPECT_NE(frame_wire_bits(big), frame_wire_bits(small));
+}
+
+TEST(MailboxWireBits, BusTimingUnchangedByCache) {
+  // End-to-end: an auto-retransmit frame's end-of-frame time at the receiver
+  // is its serialized bit count times the bit time.
+  TimedBus t;
   const CanFrame f = frame_with(0x321u, 6, 0xA5);
   TimePoint eof = TimePoint::origin();
   int got = 0;
-  rx.add_rx_listener([&](const CanFrame&, TimePoint t) {
-    eof = t;
+  t.rx.add_rx_listener([&](const CanFrame&, TimePoint at) {
+    eof = at;
     ++got;
   });
-  ASSERT_TRUE(tx.submit(f, TxMode::kAutoRetransmit).has_value());
-  sim.run();
+  ASSERT_TRUE(t.tx.submit(f, TxMode::kAutoRetransmit).has_value());
+  t.sim.run();
   ASSERT_EQ(got, 1);
-  const Duration expected = BusConfig{}.bit_time() * frame_wire_bits(f);
-  EXPECT_EQ((eof - TimePoint::origin()).ns(), expected.ns());
+  EXPECT_EQ((eof - TimePoint::origin()).ns(), TimedBus::wire_ns(f));
 }
 
 // The memoised arbitration candidate must track every mailbox state change
