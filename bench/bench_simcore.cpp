@@ -12,6 +12,7 @@
 
 #include <memory>
 #include <optional>
+#include <vector>
 
 #include "bench/sweep.hpp"
 #include "canbus/bus.hpp"
@@ -159,7 +160,13 @@ BENCHMARK(BM_FrameWireBitsUncached);
 
 // ------------------------------------------------------------ full stack
 
+// Two controllers saturate the bus with ids 0x100 and 0x200; the second
+// argument fills the bus up to that many controllers. Every extra one has a
+// listener and one filter that misses both ids, except one promiscuous
+// controller, so the row reads the canbus layer's cost per frame as the
+// bus grows while each frame's audience stays the same.
 void BM_BusSaturatedFrames(benchmark::State& state) {
+  const auto controllers = static_cast<std::size_t>(state.range(1));
   for (auto _ : state) {
     Simulator sim;
     CanBus bus{sim, BusConfig{}};
@@ -167,6 +174,18 @@ void BM_BusSaturatedFrames(benchmark::State& state) {
     CanController b{sim, 2};
     bus.attach(a);
     bus.attach(b);
+    std::vector<std::unique_ptr<CanController>> extra;
+    std::uint64_t heard = 0;
+    for (std::size_t i = 2; i < controllers; ++i) {
+      extra.push_back(
+          std::make_unique<CanController>(sim, static_cast<NodeId>(i + 1)));
+      CanController& c = *extra.back();
+      c.add_rx_listener([&heard](const CanFrame&, TimePoint) { ++heard; });
+      if (i > 2)
+        c.add_acceptance_filter(
+            {0x300u + static_cast<std::uint32_t>(i), kMaxExtendedId});
+      bus.attach(c);
+    }
     // Keep both mailboxes full: back-to-back arbitration + transmission.
     std::uint64_t sent = 0;
     const std::uint64_t target = static_cast<std::uint64_t>(state.range(0));
@@ -184,11 +203,16 @@ void BM_BusSaturatedFrames(benchmark::State& state) {
     feed(b, 0x200);
     sim.run();
     benchmark::DoNotOptimize(sent);
+    benchmark::DoNotOptimize(heard);
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
   state.SetLabel("frames");
 }
-BENCHMARK(BM_BusSaturatedFrames)->Arg(10000);
+BENCHMARK(BM_BusSaturatedFrames)
+    ->ArgNames({"frames", "controllers"})
+    ->Args({10000, 2})
+    ->Args({10000, 32})
+    ->Args({10000, 64});
 
 void BM_SrtPublishPath(benchmark::State& state) {
   for (auto _ : state) {

@@ -1,8 +1,12 @@
 #include "canbus/bus.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
+#include <tuple>
 
 namespace rtec {
 
@@ -10,6 +14,12 @@ CanBus::CanBus(Simulator& sim, BusConfig cfg) : sim_{sim}, cfg_{cfg} {}
 
 void CanBus::attach(CanController& c) {
   assert(c.bus_ == nullptr && "controller already attached to a bus");
+  // The attach index is a bit index into every receiver set, and this is
+  // its only guard, so it holds in every build type.
+  if (controllers_.size() >= kMaxControllers) {
+    std::fputs("CanBus::attach: more controllers than node ids\n", stderr);
+    std::abort();
+  }
   // Identifier uniqueness across nodes is a CAN requirement; the middleware
   // guarantees it via the TxNode field. The simulator enforces distinct
   // node ids here.
@@ -17,6 +27,13 @@ void CanBus::attach(CanController& c) {
     assert(existing->node() != c.node() && "duplicate node id on bus");
   c.bus_ = this;
   controllers_.push_back(&c);
+  index_dirty_ = true;
+  // A mailbox submitted before the attach competes from the next
+  // arbitration on.
+  if (c.arbitration_candidate()) {
+    c.contending_ = true;
+    contenders_.push_back(&c);
+  }
 }
 
 void CanBus::set_profiler(SpanProfiler* p, const std::string& prefix) {
@@ -30,7 +47,11 @@ double CanBus::utilization() const {
   return static_cast<double>(busy_time_.ns()) / static_cast<double>(elapsed.ns());
 }
 
-void CanBus::notify_tx_request() {
+void CanBus::notify_tx_request(CanController& c) {
+  if (!c.contending_) {
+    c.contending_ = true;
+    contenders_.push_back(&c);
+  }
   if (state_ != State::kIdle) return;  // picked up at the next idle point
   schedule_arbitration();
 }
@@ -52,15 +73,24 @@ void CanBus::arbitrate() {
   // Winner = globally lowest identifier; among several nodes offering the
   // SAME identifier (a spoofing attacker meeting its victim — see the
   // header), the lowest NodeId is the deterministic primary transmitter
-  // and the next-lowest the superimposed rival.
+  // and the next-lowest the superimposed rival. That is a min and a
+  // second-min over the offering set, so the contender order cannot change
+  // the result. Contenders with nothing to offer (drained, offline or
+  // bus-off) leave the list; every path that gives a controller a
+  // candidate again calls notify_tx_request.
   CanController* winner = nullptr;
   CanController::MailboxId winner_mb = 0;
   std::uint32_t winner_id = 0;
   CanController* rival = nullptr;
   CanController::MailboxId rival_mb = 0;
-  for (CanController* c : controllers_) {
+  std::size_t kept = 0;
+  for (CanController* c : contenders_) {
     const auto mb = c->arbitration_candidate();
-    if (!mb) continue;
+    if (!mb) {
+      c->contending_ = false;
+      continue;
+    }
+    contenders_[kept++] = c;
     const std::uint32_t id = c->mailbox_frame(*mb).id;
     if (winner == nullptr || id < winner_id) {
       winner = c;
@@ -81,6 +111,7 @@ void CanBus::arbitrate() {
       }
     }
   }
+  contenders_.resize(kept);
   if (winner == nullptr) return;  // bus stays idle
 
   state_ = State::kTransmitting;
@@ -149,12 +180,17 @@ void CanBus::finish_transmission(CanController* sender,
   // end-of-frame time, then observers.
   sender->on_tx_completed(mb, success, end);
   if (rival != nullptr) rival->on_tx_completed(rival_mb, success, end);
-  for (CanController* c : controllers_) {
-    if (c == sender || c == rival) continue;
-    if (success) {
-      c->on_rx(frame, end);
-    } else {
+  if (success) {
+    heal_receivers(sender, rival);
+    deliver(frame, end, sender, rival);
+  } else {
+    for (CanController* c : controllers_) {
+      if (c == sender || c == rival) continue;
       c->on_rx_error();
+      if (c->rec_ > 0 && !c->healing_) {
+        c->healing_ = true;
+        heal_.push_back(c);
+      }
     }
   }
   const FrameEvent ev{sender->node(), frame,   start,
@@ -171,6 +207,88 @@ void CanBus::end_intermission() {
   assert(state_ == State::kIntermission);
   state_ = State::kIdle;
   schedule_arbitration();
+}
+
+void CanBus::heal_receivers(const CanController* sender,
+                            const CanController* rival) {
+  // Heals run before the frame's listeners, not interleaved with them. No
+  // listener reads another controller's REC, so none can tell.
+  std::size_t kept = 0;
+  for (CanController* c : heal_) {
+    if (c != sender && c != rival) c->heal_rec();
+    if (c->rec_ > 0) {
+      heal_[kept++] = c;
+    } else {
+      c->healing_ = false;
+    }
+  }
+  heal_.resize(kept);
+}
+
+void CanBus::rebuild_acceptance_index() {
+  const auto add_member = [](ReceiverSet& set, std::size_t i) {
+    set[i / 64] |= std::uint64_t{1} << (i % 64);
+  };
+  promiscuous_ = {};
+  mask_tables_.clear();
+  // (mask, match & mask, attach index) of every filter, sorted into tables.
+  std::vector<std::tuple<std::uint32_t, std::uint32_t, std::size_t>> hits;
+  for (std::size_t i = 0; i < controllers_.size(); ++i) {
+    const auto& filters = controllers_[i]->filters_;
+    if (filters.empty()) add_member(promiscuous_, i);
+    for (const CanController::AcceptanceFilter& f : filters)
+      hits.emplace_back(f.mask, f.match & f.mask, i);
+  }
+  std::sort(hits.begin(), hits.end());
+  for (const auto& [mask, key, i] : hits) {
+    if (mask_tables_.empty() || mask_tables_.back().mask != mask)
+      mask_tables_.push_back(MaskTable{mask, {}, {}});
+    MaskTable& table = mask_tables_.back();
+    if (table.keys.empty() || table.keys.back() != key) {
+      table.keys.push_back(key);
+      table.receivers.emplace_back();
+    }
+    add_member(table.receivers.back(), i);
+  }
+  index_dirty_ = false;
+}
+
+CanBus::ReceiverSet CanBus::audience(std::uint32_t id) {
+  if (index_dirty_) rebuild_acceptance_index();
+  // accepts(id): no filters, or (id & mask) == (match & mask) for one.
+  ReceiverSet set = promiscuous_;
+  for (const MaskTable& table : mask_tables_) {
+    const std::uint32_t key = id & table.mask;
+    const auto it = std::lower_bound(table.keys.begin(), table.keys.end(), key);
+    if (it == table.keys.end() || *it != key) continue;
+    const ReceiverSet& hit = table.receivers[static_cast<std::size_t>(
+        it - table.keys.begin())];
+    for (std::size_t w = 0; w < set.size(); ++w) set[w] |= hit[w];
+  }
+  return set;
+}
+
+void CanBus::deliver(const CanFrame& frame, TimePoint end,
+                     const CanController* sender, const CanController* rival) {
+  ReceiverSet set = audience(frame.id);
+  for (std::size_t w = 0; w < set.size(); ++w) {
+    while (set[w] != 0) {
+      const std::size_t i =
+          w * 64 + static_cast<std::size_t>(std::countr_zero(set[w]));
+      set[w] &= set[w] - 1;
+      CanController* c = controllers_[i];
+      if (c == sender || c == rival) continue;
+      c->deliver(frame, end);
+      if (!index_dirty_) continue;
+      // A listener changed filters. Each controller reads its filters at
+      // its own turn, so recompute the audience above attach index i.
+      set = audience(frame.id);
+      for (std::size_t k = 0; k <= w; ++k) {
+        const std::size_t top = i - k * 64;  // drop bits 0..top of word k
+        set[k] = top >= 63 ? 0 : set[k] & (~std::uint64_t{0} << (top + 1));
+      }
+    }
+  }
 }
 
 }  // namespace rtec

@@ -1,5 +1,7 @@
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -46,6 +48,14 @@
 /// bit-identical the transmissions superimpose cleanly: one frame appears
 /// on the wire and both senders see it acknowledged. The deterministic
 /// "primary" (the FrameEvent's sender) is the lower NodeId.
+///
+/// Fan-out: an occupancy costs work in proportion to the controllers it
+/// concerns. Arbitration polls only the contender list (controllers that
+/// asked to transmit since they last had nothing to offer), a good frame
+/// reaches only its audience, looked up in an acceptance index compiled
+/// from every controller's filters, and only controllers whose REC may be
+/// above 0 are healed. Winners, deliveries, delivery order and REC values
+/// are those of a scan over every controller in attach order.
 
 namespace rtec {
 
@@ -66,12 +76,17 @@ class CanBus {
   };
   using Observer = std::function<void(const FrameEvent&)>;
 
+  /// Receiver sets hold one bit per attach index. Node ids are distinct on
+  /// a bus and at most kMaxNodeId, so no bus holds more controllers.
+  static constexpr std::size_t kMaxControllers = std::size_t{kMaxNodeId} + 1;
+
   explicit CanBus(Simulator& sim, BusConfig cfg = {});
 
   CanBus(const CanBus&) = delete;
   CanBus& operator=(const CanBus&) = delete;
 
-  /// Attaches a controller; the bus does not own it.
+  /// Attaches a controller; the bus does not own it. Aborts, in every build
+  /// type, beyond kMaxControllers.
   void attach(CanController& c);
 
   /// Installs the fault model (not owned); nullptr = fault-free.
@@ -99,11 +114,27 @@ class CanBus {
   /// Fraction of [0, now) the bus carried anything (frames or error frames).
   [[nodiscard]] double utilization() const;
 
-  /// Called by controllers when a mailbox becomes pending.
-  void notify_tx_request();
+  /// Called by a controller that may have a frame to offer: a mailbox became
+  /// pending or changed its id, or the controller came back online or out
+  /// of bus-off. It joins the contender list.
+  void notify_tx_request(CanController& c);
+
+  /// Called by an attached controller whose acceptance filters changed.
+  void notify_filters_changed() { index_dirty_ = true; }
 
  private:
   enum class State { kIdle, kTransmitting, kIntermission };
+
+  /// One bit per attach index.
+  using ReceiverSet = std::array<std::uint64_t, kMaxControllers / 64>;
+
+  /// Every filter with one mask, compiled: the sorted distinct
+  /// `match & mask` keys and, per key, the controllers holding such a filter.
+  struct MaskTable {
+    std::uint32_t mask = 0;
+    std::vector<std::uint32_t> keys;
+    std::vector<ReceiverSet> receivers;
+  };
 
   void schedule_arbitration();
   void arbitrate();
@@ -115,9 +146,29 @@ class CanBus {
                            CanController::MailboxId rival_mb);
   void end_intermission();
 
+  void rebuild_acceptance_index();
+  /// Controllers whose filters accept `id` (rebuilds a dirty index first).
+  [[nodiscard]] ReceiverSet audience(std::uint32_t id);
+  /// Decrements the REC of every heal-list member other than the two
+  /// transmitters; members whose REC is 0 leave the list.
+  void heal_receivers(const CanController* sender, const CanController* rival);
+  /// Hands a good frame to its audience in attach order.
+  void deliver(const CanFrame& frame, TimePoint end, const CanController* sender,
+               const CanController* rival);
+
   Simulator& sim_;
   BusConfig cfg_;
-  std::vector<CanController*> controllers_;
+  std::vector<CanController*> controllers_;  ///< attach order
+  /// Controllers that may offer a frame; members found with nothing to
+  /// offer leave at the next arbitration.
+  std::vector<CanController*> contenders_;
+  /// Controllers whose REC may be above 0.
+  std::vector<CanController*> heal_;
+  /// Acceptance index: controllers without filters, plus one table per
+  /// distinct mask. Dirty after attach or any filter change.
+  ReceiverSet promiscuous_{};
+  std::vector<MaskTable> mask_tables_;
+  bool index_dirty_ = true;
   FaultModel* faults_ = nullptr;
   std::vector<Observer> observers_;
 

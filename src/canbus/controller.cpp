@@ -13,6 +13,16 @@ CanController::CanController(Simulator& sim, NodeId node, Config cfg)
   assert(cfg.tx_mailboxes > 0);
 }
 
+void CanController::add_acceptance_filter(AcceptanceFilter f) {
+  filters_.push_back(f);
+  if (bus_ != nullptr) bus_->notify_filters_changed();
+}
+
+void CanController::clear_acceptance_filters() {
+  filters_.clear();
+  if (bus_ != nullptr) bus_->notify_filters_changed();
+}
+
 Expected<CanController::MailboxId, TxError> CanController::submit(
     const CanFrame& frame, TxMode mode, TxResultHandler on_result) {
   if (!online_) return Unexpected{TxError::kOffline};
@@ -31,7 +41,7 @@ Expected<CanController::MailboxId, TxError> CanController::submit(
     box.attempts = 0;
     box.on_result = std::move(on_result);
     invalidate_arb_cache();
-    if (bus_ != nullptr) bus_->notify_tx_request();
+    if (bus_ != nullptr) bus_->notify_tx_request(*this);
     return mb;
   }
   return Unexpected{TxError::kNoFreeMailbox};
@@ -53,7 +63,8 @@ bool CanController::rewrite_id(MailboxId mb, std::uint32_t new_id) {
   assert(box.frame.extended ? new_id <= kMaxExtendedId : new_id <= kMaxBaseId);
   box.frame.id = new_id;
   invalidate_arb_cache();
-  if (bus_ != nullptr) bus_->notify_tx_request();  // may change arbitration order
+  // May change the arbitration order.
+  if (bus_ != nullptr) bus_->notify_tx_request(*this);
   return true;
 }
 
@@ -93,7 +104,7 @@ void CanController::set_online(bool online) {
     tec_ = 0;
     rec_ = 0;
     bus_off_ = false;
-    if (bus_ != nullptr) bus_->notify_tx_request();
+    if (bus_ != nullptr) bus_->notify_tx_request(*this);
   }
 }
 
@@ -101,7 +112,7 @@ void CanController::reset_errors() {
   tec_ = 0;
   rec_ = 0;
   bus_off_ = false;
-  if (bus_ != nullptr) bus_->notify_tx_request();
+  if (bus_ != nullptr) bus_->notify_tx_request(*this);
 }
 
 std::optional<CanController::MailboxId> CanController::arbitration_candidate()
@@ -161,11 +172,14 @@ void CanController::on_tx_completed(MailboxId mb, bool success, TimePoint now) {
   // kAutoRetransmit: stays pending; the bus will re-arbitrate it.
 }
 
-void CanController::on_rx(const CanFrame& frame, TimePoint now) {
+void CanController::deliver(const CanFrame& frame, TimePoint now) {
   if (!online_ || bus_off_) return;
-  if (rec_ > 0) --rec_;  // good reception heals the counter (pre-filter)
-  if (!accepts(frame.id)) return;
+  assert(accepts(frame.id));
   for (const RxHandler& listener : rx_listeners_) listener(frame, now);
+}
+
+void CanController::heal_rec() {
+  if (online_ && !bus_off_ && rec_ > 0) --rec_;
 }
 
 void CanController::on_rx_error() {

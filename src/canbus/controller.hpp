@@ -84,8 +84,11 @@ class CanController {
   /// sync share one controller per node).
   void add_rx_listener(RxHandler h) { rx_listeners_.push_back(std::move(h)); }
 
-  void add_acceptance_filter(AcceptanceFilter f) { filters_.push_back(f); }
-  void clear_acceptance_filters() { filters_.clear(); }
+  /// A controller without filters accepts every frame. A change takes
+  /// effect for the frame being delivered when this controller's turn
+  /// (attach order) has not come yet.
+  void add_acceptance_filter(AcceptanceFilter f);
+  void clear_acceptance_filters();
 
   /// Queues a frame for transmission. The frame competes in bus arbitration
   /// with the other mailboxes of this and every other controller.
@@ -129,7 +132,12 @@ class CanController {
 
   void on_tx_started(MailboxId mb);
   void on_tx_completed(MailboxId mb, bool success, TimePoint now);
-  void on_rx(const CanFrame& frame, TimePoint now);
+  /// A good frame this controller's filters accept: every RX listener gets
+  /// it (nothing happens while offline or bus-off).
+  void deliver(const CanFrame& frame, TimePoint now);
+  /// A good frame was received (accepted or not): heals the receive error
+  /// counter by one.
+  void heal_rec();
   /// A corrupted frame was observed on the bus (this node was receiving):
   /// bumps the receive error counter (ISO 11898 rule: +1 per receive
   /// error, decremented on each good reception).
@@ -160,16 +168,19 @@ class CanController {
   Config cfg_;
   CanBus* bus_ = nullptr;  // set by CanBus::attach
   std::vector<Mailbox> mailboxes_;
-  /// Memoised arbitration_candidate() result. Every bus arbitration polls
-  /// every attached controller, so without this cache large networks spend
-  /// most of their wall time rescanning unchanged mailboxes (measured ~35%
-  /// of bench_scale at 64 nodes).
+  /// Memoised arbitration_candidate() result. The bus polls only its
+  /// contenders, but most of them lost the last arbitration and have not
+  /// touched their mailboxes since, so their poll is one branch instead of
+  /// a mailbox scan.
   mutable std::optional<MailboxId> arb_cache_;
   mutable bool arb_cache_valid_ = false;
   std::vector<AcceptanceFilter> filters_;
   std::vector<RxHandler> rx_listeners_;
   bool online_ = true;
   bool bus_off_ = false;
+  /// Membership of the bus's contender and REC-heal lists (kept by CanBus).
+  bool contending_ = false;
+  bool healing_ = false;
   int tec_ = 0;
   int rec_ = 0;
 };
