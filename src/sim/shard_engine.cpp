@@ -5,7 +5,6 @@
 #include <bit>
 #include <cassert>
 #include <condition_variable>
-#include <functional>
 #include <mutex>
 #include <thread>
 #include <utility>
@@ -41,11 +40,14 @@ inline void run_shard(Simulator& sim, TimePoint horizon, TimePoint& next) {
 
 }  // namespace
 
-/// Scatter/gather pool that lives as long as its engine. Each epoch the
-/// calling thread and `helpers` helper threads pull positions in the
-/// engine's active-shard list from a shared counter (active shards are
-/// independent within an epoch, so which thread runs which shard cannot
-/// affect results).
+/// Scatter/gather pool that lives as long as its engine. The calling
+/// thread (thread 0) and `helpers` helper threads (1..helpers) each own a
+/// fixed block of shards for the pool's lifetime: with T threads and S
+/// shards, shard s belongs to thread floor(s*T/S), the contiguous rule
+/// Scenario::shard_of uses for segments, so a kernel stays in one core's
+/// cache and neighbouring segments share it. Each epoch every thread runs
+/// the active shards it owns (active shards are independent within an
+/// epoch, so which thread runs which shard cannot affect results).
 ///
 /// The barrier is spin-then-park: city-scale runs have epochs of tens of
 /// microseconds, where a condvar round-trip per epoch costs more than the
@@ -66,8 +68,8 @@ class EpochPool {
             std::vector<TimePoint>& next)
       : shards_{shards}, horizon_{horizon}, active_{active}, next_{next} {
     threads_.reserve(helpers);
-    for (unsigned i = 0; i < helpers; ++i)
-      threads_.emplace_back([this] { helper(); });
+    for (unsigned i = 1; i <= helpers; ++i)
+      threads_.emplace_back([this, i] { helper(i); });
   }
 
   EpochPool(const EpochPool&) = delete;
@@ -85,17 +87,16 @@ class EpochPool {
   /// Threads that execute shards, the caller included.
   [[nodiscard]] std::size_t threads() const { return threads_.size() + 1; }
 
-  /// Executes run_before(horizon[s]) for every s in the active list, on
-  /// the caller and the helpers; returns when all are done.
+  /// Executes run_before(horizon[s]) for every s in the active list, each
+  /// on its owner thread; returns when all are done.
   void run_epoch() {
-    next_item_.store(0, std::memory_order_relaxed);
     remaining_.store(threads_.size(), std::memory_order_relaxed);
     epoch_.fetch_add(1, std::memory_order_release);
     if (parked_.load(std::memory_order_seq_cst) != 0) {
       const std::lock_guard<std::mutex> lk{m_};
       cv_start_.notify_all();
     }
-    work();
+    work(0);
     for (int spins = kSpin; remaining_.load(std::memory_order_acquire) != 0;
          --spins) {
       if (spins <= 0) {
@@ -130,17 +131,20 @@ class EpochPool {
   // typical epoch; beyond that parking is cheaper.
   static constexpr int kSpin = 1 << 14;
 
-  /// Pulls active-shard positions until the list is exhausted.
-  void work() {
-    for (std::size_t i = next_item_.fetch_add(1, std::memory_order_relaxed);
-         i < active_.size();
-         i = next_item_.fetch_add(1, std::memory_order_relaxed)) {
-      const std::uint32_t s = active_[i];
-      run_shard(*shards_[s], horizon_[s], next_[s]);
-    }
+  /// Runs the active shards thread `self` owns: floor(s*T/S) == self
+  /// holds exactly for s in [ceil(self*S/T), ceil((self+1)*S/T)), a run of
+  /// the (ascending) active list.
+  void work(std::size_t self) {
+    const std::size_t n = shards_.size();
+    const std::size_t t = threads();
+    const std::size_t end = ((self + 1) * n + t - 1) / t;
+    for (auto it = std::lower_bound(active_.begin(), active_.end(),
+                                    (self * n + t - 1) / t);
+         it != active_.end() && *it < end; ++it)
+      run_shard(*shards_[*it], horizon_[*it], next_[*it]);
   }
 
-  void helper() {
+  void helper(std::size_t self) {
     std::uint64_t seen = 0;
     for (;;) {
       bool parked = false;
@@ -168,7 +172,7 @@ class EpochPool {
       // The caller waits for remaining_ == 0 before starting the next
       // epoch, so at most one bump is outstanding here.
       seen = epoch_.load(std::memory_order_acquire);
-      work();
+      work(self);
       if (remaining_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
         const std::lock_guard<std::mutex> lk{m_};
         if (caller_waiting_) cv_done_.notify_one();
@@ -185,7 +189,6 @@ class EpochPool {
   std::condition_variable cv_start_;
   std::condition_variable cv_done_;
   std::atomic<std::uint64_t> epoch_{0};
-  std::atomic<std::size_t> next_item_{0};
   std::atomic<std::size_t> remaining_{0};
   std::atomic<unsigned> parked_{0};
   std::atomic<std::uint64_t> spin_waits_{0};
@@ -214,7 +217,6 @@ HandoffChannel& ShardEngine::link(std::size_t from, std::size_t to,
       d.min_latency = std::min(d.min_latency, latency);
     }
     batch = directions_[it->second].batch.get();
-    incoming_dirty_ = true;
   }
   assert(channels_.size() < (std::size_t{1} << 10) &&
          "handoff channel id space exhausted (Simulator::kChannelBits)");
@@ -229,16 +231,6 @@ Duration ShardEngine::incoming_lookahead(std::size_t shard) const {
   for (const Direction& d : directions_)
     if (d.to == shard) l = std::min(l, d.min_latency);
   return l;
-}
-
-void ShardEngine::rebuild_incoming() {
-  incoming_.assign(shards_.size(), {});
-  outgoing_.assign(shards_.size(), {});
-  for (const Direction& d : directions_) {
-    incoming_[d.to].push_back(Edge{d.from, d.min_latency});
-    outgoing_[d.from].push_back(Edge{d.to, d.min_latency});
-  }
-  incoming_dirty_ = false;
 }
 
 TimePoint ShardEngine::drain_and_peek(bool peek_all) {
@@ -265,49 +257,38 @@ void ShardEngine::compute_horizons(TimePoint end_excl, TimePoint next_min) {
       has_cross_shard_
           ? std::min(end_excl, saturating_add(next_min, lookahead_))
           : end_excl;
+  horizon_.assign(shards_.size(),
+                  mode_ == LookaheadMode::kGlobalMin ? global_h : end_excl);
   if (mode_ == LookaheadMode::kPerLink && has_cross_shard_) {
     // Earliest output time of each shard: the least fixpoint of
     //   ET_j = min(N_j, min over incoming (k -> j) of ET_k + L_kj),
-    // i.e. multi-source Dijkstra over the positive-latency link graph
-    // seeded with the pending-event times. A shard's pending queue alone
-    // (N_j) is NOT a sound bound on what it may yet execute: it can
+    // found by label-correcting relaxation from ET = N: sweep every
+    // direction until a sweep lowers nothing. A shard's pending queue
+    // alone (N_j) is NOT a sound bound on what it may yet execute: it can
     // receive a handoff below N_j and relay it, so transitive chains must
-    // be closed over. Saturated sources (drained shards, N == max) relax
-    // to whatever reaches them through links.
+    // be closed over. Every latency is positive, so the fixpoint is unique
+    // and a shortest path crosses at most S - 1 links: the loop ends
+    // within S sweeps. Saturated sources (drained shards, N == max) relax
+    // nothing and receive whatever reaches them through links.
     et_ = next_;
-    // (time, shard) min-heap in et_heap_; lazy deletion via the et_ check
-    // below.
-    const auto later = std::greater<>{};
-    et_heap_.clear();
-    for (std::size_t i = 0; i < shards_.size(); ++i)
-      if (et_[i] < TimePoint::max()) et_heap_.emplace_back(et_[i], i);
-    std::make_heap(et_heap_.begin(), et_heap_.end(), later);
-    while (!et_heap_.empty()) {
-      std::pop_heap(et_heap_.begin(), et_heap_.end(), later);
-      const auto [t, j] = et_heap_.back();
-      et_heap_.pop_back();
-      if (t > et_[j]) continue;
-      for (const Edge& out : outgoing_[j]) {
-        const TimePoint reach = saturating_add(t, out.latency);
-        if (reach < et_[out.peer]) {
-          et_[out.peer] = reach;
-          et_heap_.emplace_back(reach, out.peer);
-          std::push_heap(et_heap_.begin(), et_heap_.end(), later);
+    for (bool lowered = true; lowered;) {
+      lowered = false;
+      for (const Direction& d : directions_) {
+        const TimePoint reach = saturating_add(et_[d.from], d.min_latency);
+        if (reach < et_[d.to]) {
+          et_[d.to] = reach;
+          lowered = true;
         }
       }
     }
+    // H_i = min over incoming links (j -> i) of ET_j + L_ji. A feeder
+    // nothing can ever reach (ET_j == max) imposes no constraint.
+    for (const Direction& d : directions_)
+      horizon_[d.to] = std::min(horizon_[d.to],
+                                saturating_add(et_[d.from], d.min_latency));
   }
   for (std::size_t i = 0; i < shards_.size(); ++i) {
-    TimePoint h = end_excl;
-    if (mode_ == LookaheadMode::kGlobalMin) {
-      h = global_h;
-    } else {
-      // H_i = min over incoming links (j -> i) of ET_j + L_ji. A feeder
-      // nothing can ever reach (ET_j == max) imposes no constraint.
-      for (const Edge& in : incoming_[i])
-        h = std::min(h, saturating_add(et_[in.peer], in.latency));
-    }
-    horizon_[i] = h;
+    const TimePoint h = horizon_[i];
     if (next_[i] < h) {
       active_.push_back(static_cast<std::uint32_t>(i));
       ++stats_.per_shard_runs[i];
@@ -336,10 +317,7 @@ void ShardEngine::run_until(TimePoint t) {
   // event with timestamp <= t, i.e. run_until(t) semantics.
   const TimePoint end_excl = t + Duration::nanoseconds(1);
 
-  if (incoming_dirty_ || incoming_.size() != shards_.size())
-    rebuild_incoming();
   next_.resize(shards_.size(), TimePoint::max());
-  horizon_.resize(shards_.size(), TimePoint::max());
   active_.reserve(shards_.size());
   if (stats_.per_shard_runs.size() != shards_.size()) {
     stats_.per_shard_runs.resize(shards_.size(), 0);

@@ -30,13 +30,15 @@
 ///      when it could execute anything from now on, including events it
 ///      has not received yet — as the least fixpoint of
 ///        ET_j = min(N_j, min over incoming links (k -> j) of ET_k + L_kj)
-///      (a single-source-free Dijkstra pass over the positive-latency
-///      link graph, seeded with the N_j), then
+///      (label-correcting relaxation over the positive-latency link
+///      graph from ET = N: sweep every direction until nothing lowers,
+///      at most S sweeps for S shards), then
 ///        H_i = min over incoming links (j -> i) of  ET_j + L_ji
 ///      where L_ji is the minimum latency over that direction's channels
 ///      (no incoming links, or every feeder drained: H_i = run bound)
 ///   3. every shard with N_i < H_i executes its events with timestamp
-///      < H_i, in parallel; the rest idle this epoch
+///      < H_i, in parallel on the thread that owns it; the rest idle this
+///      epoch
 ///
 /// Safety: any event shard j ever executes from this barrier on — its own
 /// pending events (t >= N_j) or relays of handoffs it has yet to receive
@@ -175,12 +177,6 @@ class ShardEngine {
     Duration min_latency;
     std::unique_ptr<HandoffBatch> batch;
   };
-  /// One adjacency edge (used in both directions: the peer is the source
-  /// in `incoming_` and the destination in `outgoing_`).
-  struct Edge {
-    std::size_t peer;
-    Duration latency;
-  };
 
   /// Barrier work: drains every direction batch and refreshes `next_` for
   /// the destinations that received handoffs (every shard when
@@ -192,22 +188,16 @@ class ShardEngine {
   /// Fills `horizon_` and `active_` for one epoch given the global
   /// minimum `next_min` and the exclusive run bound.
   void compute_horizons(TimePoint end_excl, TimePoint next_min);
-  void rebuild_incoming();
 
   std::vector<Simulator*> shards_;
   std::vector<std::unique_ptr<HandoffChannel>> channels_;
   std::vector<Direction> directions_;
   std::map<std::pair<std::size_t, std::size_t>, std::size_t> direction_index_;
-  std::vector<std::vector<Edge>> incoming_;  ///< per destination shard
-  std::vector<std::vector<Edge>> outgoing_;  ///< per source shard
-  bool incoming_dirty_ = false;
   std::vector<TimePoint> next_;     ///< per-shard next event after barrier
   std::vector<TimePoint> et_;       ///< per-shard earliest output time
   std::vector<TimePoint> horizon_;  ///< per-shard epoch horizon (exclusive)
-  std::vector<std::uint32_t> active_;  ///< shards with work this epoch
-  /// compute_horizons' Dijkstra queue as a (time, shard) min-heap; kept
-  /// across epochs so a steady-state barrier allocates nothing.
-  std::vector<std::pair<TimePoint, std::size_t>> et_heap_;
+  /// Shards with work this epoch, ascending (EpochPool relies on it).
+  std::vector<std::uint32_t> active_;
   Duration lookahead_ = Duration::max();
   bool has_cross_shard_ = false;
   unsigned threads_ = 1;

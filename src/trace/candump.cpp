@@ -53,6 +53,10 @@ bool CandumpRecorder::save(const std::string& path) const {
 
 namespace {
 
+/// Largest candump seconds field whose stamp, with any micros field up to
+/// 999'999, still fits a signed 64-bit nanosecond count.
+constexpr long long kMaxCandumpSecs = 9'223'372'035;
+
 int hex_value(char c) {
   if (c >= '0' && c <= '9') return c - '0';
   if (c >= 'a' && c <= 'f') return c - 'a' + 10;
@@ -99,6 +103,10 @@ std::vector<CandumpEntry> parse_candump(const std::string& text,
     long long secs = 0;
     long long micros = 0;
     if (std::sscanf(ts.c_str(), "(%lld.%lld)", &secs, &micros) != 2)
+      return skip();
+    // Range-check before scaling to ns: an outside capture may hold any
+    // value, and the product must fit the signed 64-bit TimePoint.
+    if (secs < 0 || secs > kMaxCandumpSecs || micros < 0 || micros > 999'999)
       return skip();
 
     const std::size_t hash = frame_str.find('#');

@@ -65,13 +65,17 @@ TEST(Candump, MalformedLinesSkipped) {
       "(1.000000) vcan0 123#0011223344556677889\n"  // > 8 bytes
       "1.0 vcan0 123#00\n"                  // missing parens
       "(1.000000) vcan0 7FFFFFFF#00\n"      // id beyond 29 bits
+      "(9999999999999.000000) vcan0 123#00\n"  // stamp overflows int64 ns
+      "(-1.000000) vcan0 123#00\n"          // negative seconds
+      "(1.1000000) vcan0 123#00\n"          // micros field past 999999
       "(2.000000) vcan0 123#00\n";
   std::size_t skipped = 0;
   const auto entries = parse_candump(log, &skipped);
   ASSERT_EQ(entries.size(), 2u);
   EXPECT_EQ(entries[0].frame.dlc, 0);
   EXPECT_EQ(entries[1].frame.data[0], 0x00);
-  EXPECT_EQ(skipped, 6u);  // every malformed line above, counted once
+  EXPECT_EQ(entries[1].at, TimePoint::from_ns(2'000'000'000));
+  EXPECT_EQ(skipped, 9u);  // every malformed line above, counted once
 }
 
 TEST(Candump, SkippedCountIgnoresBlankLines) {

@@ -6,11 +6,13 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/gateway.hpp"
 #include "core/scenario.hpp"
 #include "core/srtec.hpp"
+#include "sim/shard_engine.hpp"
 #include "sim/topology_gen.hpp"
 #include "time/periodic.hpp"
 #include "trace/binary.hpp"
@@ -45,7 +47,7 @@ std::string format_frame(const CanBus::FrameEvent& ev) {
 struct RunResult {
   std::vector<std::vector<std::string>> traces;  ///< per segment
   std::vector<std::int64_t> precision_ns;        ///< per segment, at end
-  std::uint64_t handoffs = 0;
+  ShardEngine::Stats engine;  ///< the engine's counters at the end
   std::vector<std::string> rteb;  ///< per-segment binary traces (opt-in)
   unsigned engine_threads = 0;    ///< ShardEngine::threads() as resolved
 };
@@ -179,7 +181,7 @@ RunResult run_topology(Topology topo, int segments, std::uint64_t seed,
 
   for (int net = 0; net < segments; ++net)
     out.precision_ns.push_back(scn.clock_precision(net).ns());
-  out.handoffs = scn.shard_engine().stats().handoffs;
+  out.engine = scn.shard_engine().stats();
   return out;
 }
 
@@ -223,7 +225,7 @@ void differential(Topology topo, int segments, const char* name) {
                            " shards=" + std::to_string(shards) +
                            " threads=" + std::to_string(threads));
       if (shards > 1) {
-        EXPECT_GT(got.handoffs, 0u);
+        EXPECT_GT(got.engine.handoffs, 0u);
       }
     }
   }
@@ -370,7 +372,7 @@ RunResult run_city(const TopoSpec& topo, int shards, unsigned threads,
 
   for (int net = 0; net < topo.segments; ++net)
     out.precision_ns.push_back(scn.clock_precision(net).ns());
-  out.handoffs = scn.shard_engine().stats().handoffs;
+  out.engine = scn.shard_engine().stats();
   out.engine_threads = scn.shard_engine().threads();
   if (record_rteb)
     for (int net = 0; net < topo.segments; ++net)
@@ -394,7 +396,7 @@ void city_differential(TopoShape shape, int segments,
                      std::string{topo_shape_name(shape)} +
                          std::to_string(segments) +
                          " threads=" + std::to_string(threads));
-    EXPECT_GT(got.handoffs, 0u);
+    EXPECT_GT(got.engine.handoffs, 0u);
   }
 }
 
@@ -458,6 +460,77 @@ TEST(MultisegCity, ZeroThreadsResolvesToHostCpusAndReplays) {
   EXPECT_GE(got.engine_threads, 1u);
   EXPECT_LE(got.engine_threads, std::min(64u, cpus));
   expect_identical(ref, got, "grid64 threads=0");
+}
+
+// --- Deterministic engine work --------------------------------------------
+// Everything in ShardEngine::Stats except the two barrier counters is a
+// pure function of the scenario. The golden values pin the schedule itself:
+// a change to how horizons or active sets are computed that keeps traces
+// identical but runs more (or fewer) epochs or shard executions fails here.
+
+/// Asserts every deterministic engine counter of `got` equals `ref`'s.
+void expect_same_work(const ShardEngine::Stats& ref,
+                      const ShardEngine::Stats& got, const std::string& what) {
+  EXPECT_EQ(ref.epochs, got.epochs) << what;
+  EXPECT_EQ(ref.handoffs, got.handoffs) << what;
+  EXPECT_EQ(ref.shard_runs, got.shard_runs) << what;
+  EXPECT_EQ(ref.shard_skips, got.shard_skips) << what;
+  EXPECT_EQ(ref.handoff_batches, got.handoff_batches) << what;
+  EXPECT_EQ(ref.handoff_bytes, got.handoff_bytes) << what;
+  EXPECT_EQ(ref.horizon_advance_log2, got.horizon_advance_log2) << what;
+  EXPECT_EQ(ref.per_shard_runs, got.per_shard_runs) << what;
+  EXPECT_EQ(ref.per_shard_skips, got.per_shard_skips) << what;
+}
+
+struct EngineWork {
+  TopoShape shape;
+  std::uint64_t epochs;
+  std::uint64_t shard_runs;
+  std::uint64_t shard_skips;
+  std::uint64_t handoffs;
+  std::uint64_t handoff_batches;
+  /// Non-zero horizon_advance_log2 buckets as (bucket, count).
+  std::vector<std::pair<std::size_t, std::uint64_t>> horizon_buckets;
+};
+
+TEST(MultisegEngine, WorkCountersPinnedAndIdenticalAcrossThreads) {
+  // 64 segments, one shard each, seed 11, 40 simulated ms. The horizons
+  // are a unique least fixpoint, so any exact way of computing them
+  // reproduces these counts.
+  const EngineWork golden[] = {
+      {TopoShape::kFleetStar, 108, 1609, 5303, 393, 393,
+       {{9, 3}, {10, 2}, {11, 9}, {12, 19}, {13, 19}, {14, 22}, {15, 91},
+        {16, 210}, {17, 358}, {18, 804}, {19, 72}}},
+      {TopoShape::kCampusGrid, 107, 2379, 4469, 697, 697,
+       {{6, 1}, {7, 2}, {8, 1}, {9, 4}, {10, 4}, {11, 12}, {12, 28},
+        {13, 33}, {14, 69}, {15, 118}, {16, 312}, {17, 949}, {18, 798},
+        {19, 48}}},
+      {TopoShape::kBackboneTree, 80, 1664, 3456, 393, 393,
+       {{7, 1}, {8, 1}, {9, 2}, {11, 6}, {12, 15}, {13, 27}, {14, 47},
+        {15, 58}, {16, 89}, {17, 430}, {18, 809}, {19, 179}}},
+  };
+  for (const EngineWork& g : golden) {
+    const TopoSpec topo = make_topology(g.shape, 64, /*seed=*/11);
+    const std::string name = topo_shape_name(g.shape);
+    const RunResult ref = run_city(topo, /*shards=*/64, /*threads=*/1, 40_ms);
+    const ShardEngine::Stats& s = ref.engine;
+    EXPECT_EQ(s.epochs, g.epochs) << name;
+    EXPECT_EQ(s.shard_runs, g.shard_runs) << name;
+    EXPECT_EQ(s.shard_skips, g.shard_skips) << name;
+    EXPECT_EQ(s.handoffs, g.handoffs) << name;
+    EXPECT_EQ(s.handoff_batches, g.handoff_batches) << name;
+    std::vector<std::pair<std::size_t, std::uint64_t>> buckets;
+    for (std::size_t b = 0; b < s.horizon_advance_log2.size(); ++b)
+      if (s.horizon_advance_log2[b] != 0)
+        buckets.emplace_back(b, s.horizon_advance_log2[b]);
+    EXPECT_EQ(buckets, g.horizon_buckets) << name;
+
+    for (const unsigned threads : {2u, 3u, 4u}) {
+      const RunResult got = run_city(topo, /*shards=*/64, threads, 40_ms);
+      expect_same_work(s, got.engine,
+                       name + " threads=" + std::to_string(threads));
+    }
+  }
 }
 
 TEST(MultisegCity, GridSixteenTwoThreadsQuick) {
