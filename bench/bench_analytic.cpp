@@ -34,7 +34,6 @@
 #include "bench/common.hpp"
 #include "bench/sweep.hpp"
 #include "sched/prob_rta.hpp"
-#include "trace/csv.hpp"
 
 using namespace rtec;
 
@@ -122,9 +121,6 @@ int main() {
     return static_cast<double>(bits) * bit_us;
   };
 
-  CsvWriter csv{"bench_analytic.csv"};
-  csv.header({"mode", "dlc", "k", "p", "seed", "rounds", "sim_p99_us",
-              "ana_p99_us", "sim_wall_ms", "ana_query_us", "speedup"});
   bench::BenchJson bj{"analytic"};
   bj.meta("generated_by", "bench_analytic");
   bj.meta("threads", static_cast<double>(bench::sweep_threads()));
@@ -185,9 +181,6 @@ int main() {
                 static_cast<unsigned long long>(pt.seed), pt.rounds, sim_p99,
                 ana_p99, sim_p999, ana_p999, r.sim_wall_ms, r.ana_query_us,
                 speedup, pt.worst ? (within ? "ok" : "DIVERGED") : "-");
-    csv.row(pt.worst ? 1 : 0, pt.dlc, pt.k, pt.p,
-            static_cast<double>(pt.seed), static_cast<double>(pt.rounds),
-            sim_p99, ana_p99, r.sim_wall_ms, r.ana_query_us, speedup);
     bj.row({{"worst_position", pt.worst ? 1.0 : 0.0},
             {"dlc", static_cast<double>(pt.dlc)},
             {"k", static_cast<double>(pt.k)},

@@ -17,7 +17,6 @@
 #include "bench/common.hpp"
 #include "core/scenario.hpp"
 #include "time/sync.hpp"
-#include "trace/csv.hpp"
 
 using namespace rtec;
 using namespace rtec::literals;
@@ -69,9 +68,6 @@ int main() {
   bench::note("6 nodes, 1 us clock tick, master sync each round, 10 s sampled");
   bench::note("at 1 kHz; bound = 2*(tick + drift*round) [required_slot_gap]");
 
-  CsvWriter csv{"bench_clock_sync.csv"};
-  csv.header({"drift_ppm", "resync_ms", "worst_us", "bound_us"});
-
   std::printf("\n  %-11s %-12s %-22s %-18s %s\n", "drift (ppm)", "resync (ms)",
               "worst observed (us)", "analytic bound", "within 40 us");
   bench::rule();
@@ -82,7 +78,6 @@ int main() {
       std::printf("  %-11lld %-12lld %-22.1f %-18.1f %s\n",
                   static_cast<long long>(ppm), static_cast<long long>(ms),
                   r.worst_us, r.bound_us, r.worst_us <= 40.0 ? "yes" : "NO");
-      csv.row(ppm, ms, r.worst_us, r.bound_us);
     }
     bench::rule();
   }

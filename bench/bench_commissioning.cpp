@@ -19,7 +19,6 @@
 #include "core/scenario.hpp"
 #include "core/srtec.hpp"
 #include "time/periodic.hpp"
-#include "trace/csv.hpp"
 
 using namespace rtec;
 using namespace rtec::literals;
@@ -114,10 +113,6 @@ int main() {
   bench::note("every node resolves its subjects through the binding agent at");
   bench::note("boot; background = 40%% SRT load already on the bus");
 
-  CsvWriter csv{"bench_commissioning.csv"};
-  csv.header({"nodes", "subjects_per_node", "background", "total_ms",
-              "per_subject_us", "frames", "timeouts"});
-
   std::printf("\n  %-7s %-10s %-12s %-11s %-16s %-9s %s\n", "nodes",
               "subj/node", "background", "total (ms)", "per subject (us)",
               "frames", "timeouts");
@@ -131,8 +126,6 @@ int main() {
                     r.per_subject_us,
                     static_cast<unsigned long long>(r.frames),
                     static_cast<unsigned long long>(r.timeouts));
-        csv.row(nodes, subjects, bg ? 1 : 0, r.total_ms, r.per_subject_us,
-                r.frames, r.timeouts);
       }
     }
     bench::rule();

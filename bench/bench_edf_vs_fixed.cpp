@@ -21,7 +21,6 @@
 #include "bench/sweep.hpp"
 #include "core/scenario.hpp"
 #include "core/srtec.hpp"
-#include "trace/csv.hpp"
 #include "util/random.hpp"
 
 using namespace rtec;
@@ -239,9 +238,6 @@ int main() {
   bench::note("6 periodic + 1 bursty sporadic stream (25%% of load), 2 s per point,");
   bench::note("identical arrival traces for all three schedulers");
 
-  CsvWriter csv{"bench_edf_vs_fixed.csv"};
-  csv.header({"load", "edf_miss", "edf_expiry_miss", "dm_miss", "dual_miss",
-              "offered"});
   bench::BenchJson bj{"edf_vs_fixed"};
   bj.meta("generated_by", "bench_edf_vs_fixed");
   bj.meta("threads", static_cast<double>(bench::sweep_threads()));
@@ -273,8 +269,6 @@ int main() {
                 loads[i], static_cast<unsigned long long>(r.edf.offered),
                 r.edf.miss_ratio(), r.edfx.miss_ratio(), r.dm.miss_ratio(),
                 r.dual.miss_ratio(), r.dm_feasible ? "yes" : "no");
-    csv.row(loads[i], r.edf.miss_ratio(), r.edfx.miss_ratio(),
-            r.dm.miss_ratio(), r.dual.miss_ratio(), r.edf.offered);
     bj.row({{"load", loads[i]},
             {"edf_miss", r.edf.miss_ratio()},
             {"edf_expiry_miss", r.edfx.miss_ratio()},

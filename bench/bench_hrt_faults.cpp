@@ -22,7 +22,6 @@
 #include "bench/sweep.hpp"
 #include "core/hrtec.hpp"
 #include "core/scenario.hpp"
-#include "trace/csv.hpp"
 #include "util/task_pool.hpp"
 
 using namespace rtec;
@@ -160,8 +159,6 @@ int main() {
   bench::title("E2", "HRT worst-case transmission time & fault tolerance");
 
   const BusConfig bus;
-  CsvWriter csv{"bench_hrt_faults.csv"};
-  csv.header({"dlc", "k", "analytic_us", "simulated_us"});
   bench::BenchJson bj{"hrt_faults"};
   bj.meta("generated_by", "bench_hrt_faults");
   bj.meta("threads", static_cast<double>(bench::sweep_threads()));
@@ -196,7 +193,6 @@ int main() {
     all_hold &= holds;
     std::printf("  %-5d %-4d %-22.1f %-22.1f %s\n", dlc, k, t1[i].bound.us(),
                 t1[i].sim.us(), holds ? "yes" : "VIOLATED");
-    csv.row(dlc, k, t1[i].bound.us(), t1[i].sim.us());
     bj.row({{"dlc", static_cast<double>(dlc)},
             {"k", static_cast<double>(k)},
             {"analytic_us", t1[i].bound.us()},

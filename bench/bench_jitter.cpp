@@ -23,7 +23,6 @@
 #include "bench/common.hpp"
 #include "core/hrtec.hpp"
 #include "core/scenario.hpp"
-#include "trace/csv.hpp"
 #include "trace/metrics.hpp"
 
 using namespace rtec;
@@ -182,10 +181,6 @@ int main() {
   bench::title("E3", "latency & period jitter: middleware hold vs network delivery");
   bench::note("periodic HRT stream, 5 ms period, slot k=3, 1500 rounds/point");
 
-  CsvWriter csv{"bench_jitter.csv"};
-  csv.header({"p", "scheme", "mean_latency_us", "latency_jitter_us",
-              "period_jitter_us", "bits_per_round"});
-
   std::printf("\n  %-6s %-8s %-15s %-17s %-19s %-11s %s\n", "p", "scheme",
               "mean lat (us)", "lat jitter (us)", "period jitter (us)",
               "bits/round", "delivered");
@@ -199,8 +194,6 @@ int main() {
       std::printf("  %-6.2f %-8s %-15.1f %-17.1f %-19.1f %-11.0f %zu\n", p,
                   name, s.mean_latency_us, s.latency_jitter_us,
                   s.period_jitter_us, s.bits_per_round, s.delivered);
-      csv.row(p, name, s.mean_latency_us, s.latency_jitter_us,
-              s.period_jitter_us, s.bits_per_round);
     };
     row("net", net);
     row("mw", mw);

@@ -26,7 +26,6 @@
 #include "core/hrtec.hpp"
 #include "core/scenario.hpp"
 #include "time/periodic.hpp"
-#include "trace/csv.hpp"
 
 using namespace rtec;
 using namespace rtec::literals;
@@ -140,10 +139,6 @@ int main() {
   const auto ours_raw = run_ours(150'000, /*rate_servo=*/false);
   const auto ftt = run_ftt();
 
-  CsvWriter csv{"bench_master_failure.csv"};
-  csv.header(
-      {"bucket_start_ms", "ours_servo", "ours_no_servo", "ftt_can"});
-
   std::printf("\n  %-16s %-16s %-17s %s\n", "bucket (ms)",
               "ours (servo)", "ours (no servo)", "ftt-can");
   bench::rule();
@@ -156,9 +151,6 @@ int main() {
                 ours_raw[static_cast<std::size_t>(b)],
                 ftt[static_cast<std::size_t>(b)],
                 start == 1000 ? "  <- master dies" : "");
-    csv.row(start, ours_servo[static_cast<std::size_t>(b)],
-            ours_raw[static_cast<std::size_t>(b)],
-            ftt[static_cast<std::size_t>(b)]);
   }
   bench::rule();
   bench::note("Both runs use ±150 ppm clocks. FTT-CAN stops dead at the first");

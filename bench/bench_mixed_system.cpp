@@ -22,7 +22,6 @@
 #include "core/scenario.hpp"
 #include "time/periodic.hpp"
 #include "core/srtec.hpp"
-#include "trace/csv.hpp"
 #include "trace/histogram.hpp"
 #include "trace/metrics.hpp"
 #include "util/random.hpp"
@@ -222,10 +221,6 @@ int main() {
   ClassUtilization util{scn.bus()};
   scn.run_for(Duration::seconds(10));
 
-  CsvWriter csv{"bench_mixed_system.csv"};
-  csv.header({"stream", "mean_us", "p50_us", "p99_us", "max_us", "jitter_us",
-              "misses"});
-
   std::printf("\n  %-12s %-10s %-10s %-10s %-10s %-12s %s\n", "stream",
               "mean(us)", "p50(us)", "p99(us)", "max(us)", "jitter(us)",
               "misses/missing");
@@ -238,10 +233,6 @@ int main() {
                 s.latency.quantile(0.99) / 1e3, s.latency.max() / 1e3,
                 (s.latency.max() - s.latency.min()) / 1e3,
                 static_cast<unsigned long long>(s.missing));
-    csv.row("hrt" + std::to_string(i), s.latency.mean() / 1e3,
-            s.latency.median() / 1e3, s.latency.quantile(0.99) / 1e3,
-            s.latency.max() / 1e3, (s.latency.max() - s.latency.min()) / 1e3,
-            s.missing);
     hrt_missing += s.missing;
   }
   for (std::size_t i = 0; i < srt.size(); ++i) {
@@ -251,10 +242,6 @@ int main() {
                 s.latency.quantile(0.99) / 1e3, s.latency.max() / 1e3,
                 (s.latency.max() - s.latency.min()) / 1e3,
                 static_cast<unsigned long long>(s.misses));
-    csv.row("srt" + std::to_string(i), s.latency.mean() / 1e3,
-            s.latency.median() / 1e3, s.latency.quantile(0.99) / 1e3,
-            s.latency.max() / 1e3, (s.latency.max() - s.latency.min()) / 1e3,
-            s.misses);
   }
   bench::rule();
   std::printf("  alarms: %d fired, %d delivered; blobs delivered: %d\n",

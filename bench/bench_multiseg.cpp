@@ -1,17 +1,14 @@
 // Parallel multi-segment engine at city scale: generated topologies
 // (sim/topology_gen.hpp — chain, fleet-of-stars, campus grid, backbone
-// tree) with a busy/light segment mix, measured three ways per point:
+// tree) with a busy/light segment mix, measured two ways per point:
 //
 //   seq   — one shared kernel (shards=1), the sequential reference
-//   par   — one kernel per segment, per-link lookahead (the default)
-//   glob  — one kernel per segment, legacy global-minimum lookahead
+//   par   — one kernel per segment, per-link lookahead
 //
-// All three runs simulate the identical workload and produce bit-identical
-// frame traces (tests/test_multiseg.cpp), so `speedup` isolates the engine
-// and `epoch_reduction` isolates the per-link horizon policy: on weakly
-// coupled topologies a busy segment's horizon is set by its idle
-// neighbours' progress, not by the globally slowest shard, so the engine
-// needs far fewer epochs to cover the same simulated time.
+// Both runs simulate the identical workload and produce bit-identical
+// frame traces (tests/test_multiseg.cpp), so `speedup` isolates the
+// engine. The committed BENCH_multiseg.json also keeps frozen
+// global-minimum lookahead columns that this bench no longer writes.
 //
 // Points run SERIALLY (never on the sweep pool): the parallel engine's own
 // worker threads are the thing being measured, so nothing else may compete
@@ -19,7 +16,7 @@
 // one per segment, up to the hardware). RTEC_BENCH_QUICK=1 shrinks the
 // grid for CI smoke runs. Speedup is meaningless on 1-core hosts — the
 // `host_cpus` metadata records what the numbers were measured on; the
-// epoch columns are scheduling counts and are host-independent.
+// epoch column is a scheduling count and is host-independent.
 
 #include <algorithm>
 #include <cassert>
@@ -59,16 +56,15 @@ struct Run {
 /// City workload over a generated topology: two regular nodes per segment
 /// with per-segment clock sync, one bridged SRT subject per gateway link,
 /// and Poisson chatter on every fourth segment. The busy/light mix is the
-/// point — it is what per-link lookahead exploits and global-min cannot.
+/// point — it is what per-link lookahead exploits.
 Run run_city(const TopoSpec& topo, int shards, unsigned threads,
-             LookaheadMode mode, Duration sim_time,
+             Duration sim_time,
              rtec::trace::MetricsRegistry* metrics = nullptr) {
   TaskPool pool;
   Scenario::Config cfg;
   cfg.networks = topo.segments;
   cfg.shards = shards;
   cfg.threads = threads;
-  cfg.lookahead = mode;
   cfg.calendar.round_length = 10_ms;
   Scenario scn{cfg};
   Rng setup_rng{topo.seed + 0xBE7Cu};
@@ -216,9 +212,9 @@ int main() {
   bj.meta("reps", static_cast<double>(reps));
   bj.meta("host_cpus", static_cast<double>(hw));
 
-  std::printf("\n  %-6s %-5s %-8s %-9s %-9s %-8s %-10s %-10s %-7s %s\n",
-              "shape", "segs", "frames", "seq (s)", "par (s)", "speedup",
-              "epochs", "glob.ep", "red.", "handoffs");
+  std::printf("\n  %-6s %-5s %-8s %-9s %-9s %-8s %-10s %s\n", "shape",
+              "segs", "frames", "seq (s)", "par (s)", "speedup", "epochs",
+              "handoffs");
   bench::rule();
 
   const auto t0 = std::chrono::steady_clock::now();
@@ -229,37 +225,23 @@ int main() {
     const unsigned threads =
         std::min(bench::sweep_threads(), static_cast<unsigned>(pt.segments));
     const Run seq = median_of(reps, [&] {
-      return run_city(topo, /*shards=*/1, /*threads=*/1,
-                      LookaheadMode::kPerLink, sim_time);
+      return run_city(topo, /*shards=*/1, /*threads=*/1, sim_time);
     });
     const Run par = median_of(reps, [&] {
-      return run_city(topo, pt.segments, threads, LookaheadMode::kPerLink,
-                      sim_time);
-    });
-    const Run glob = median_of(reps, [&] {
-      return run_city(topo, pt.segments, threads, LookaheadMode::kGlobalMin,
-                      sim_time);
+      return run_city(topo, pt.segments, threads, sim_time);
     });
     const double speedup = seq.wall_s / par.wall_s;
-    const double reduction =
-        glob.epochs > 0 ? 1.0 - par.epochs / glob.epochs : 0.0;
-    std::printf(
-        "  %-6s %-5d %-8.0f %-9.3f %-9.3f %-8.2f %-10.0f %-10.0f %4.0f%%   "
-        "%.0f\n",
-        topo_shape_name(pt.shape), pt.segments, par.frames, seq.wall_s,
-        par.wall_s, speedup, par.epochs, glob.epochs, reduction * 100,
-        par.handoffs);
+    std::printf("  %-6s %-5d %-8.0f %-9.3f %-9.3f %-8.2f %-10.0f %.0f\n",
+                topo_shape_name(pt.shape), pt.segments, par.frames,
+                seq.wall_s, par.wall_s, speedup, par.epochs, par.handoffs);
     bj.row({{"shape", static_cast<double>(static_cast<int>(pt.shape))},
             {"segments", static_cast<double>(pt.segments)},
             {"threads", static_cast<double>(threads)},
             {"frames", par.frames},
             {"wall_s_seq", seq.wall_s},
             {"wall_s_par", par.wall_s},
-            {"wall_s_global", glob.wall_s},
             {"speedup", speedup},
             {"epochs", par.epochs},
-            {"epochs_global", glob.epochs},
-            {"epoch_reduction", reduction},
             {"handoffs", par.handoffs},
             {"shard_runs", par.shard_runs}});
   }
@@ -274,13 +256,13 @@ int main() {
   {
     trace::MetricsRegistry metrics;
     const TopoSpec topo = make_topology(TopoShape::kChain, 4, /*seed=*/11);
-    (void)run_city(topo, 4, 1, LookaheadMode::kPerLink, 100_ms, &metrics);
+    (void)run_city(topo, 4, 1, 100_ms, &metrics);
     if (!metrics.save("METRICS_multiseg.json"))
       bench::note("warning: could not write METRICS_multiseg.json");
   }
-  bench::note("all three configurations execute the identical event sequence");
-  bench::note("(tests/test_multiseg.cpp proves bit-equality); epoch_reduction");
-  bench::note("= 1 - epochs/epochs_global is host-independent. On a 1-core");
-  bench::note("host expect speedup <= 1 (epoch + barrier overhead only).");
+  bench::note("both configurations execute the identical event sequence");
+  bench::note("(tests/test_multiseg.cpp proves bit-equality); epochs are");
+  bench::note("host-independent. On a 1-core host expect speedup <= 1");
+  bench::note("(epoch + barrier overhead only).");
   return 0;
 }

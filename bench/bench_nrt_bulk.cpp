@@ -18,7 +18,6 @@
 #include "core/nrtec.hpp"
 #include "core/scenario.hpp"
 #include "core/srtec.hpp"
-#include "trace/csv.hpp"
 #include "util/task_pool.hpp"
 
 using namespace rtec;
@@ -136,10 +135,6 @@ int main() {
   bench::note("fragmented channel: FIRST carries 4 payload bytes, MID/LAST 7;");
   bench::note("HRT stream (10 ms period) + SRT background above the transfer");
 
-  CsvWriter csv{"bench_nrt_bulk.csv"};
-  csv.header({"payload_bytes", "srt_load", "throughput_kbps", "completion_ms",
-              "hrt_missing", "srt_misses"});
-
   std::printf("\n  %-10s %-10s %-18s %-16s %-12s %s\n", "payload", "SRT load",
               "goodput (kbit/s)", "completion (ms)", "HRT missing",
               "SRT misses");
@@ -151,8 +146,6 @@ int main() {
                   load, r.throughput_kbps, r.completion_ms,
                   static_cast<unsigned long long>(r.hrt_missing),
                   static_cast<unsigned long long>(r.srt_misses));
-      csv.row(payload, load, r.throughput_kbps, r.completion_ms, r.hrt_missing,
-              r.srt_misses);
     }
     bench::rule();
   }

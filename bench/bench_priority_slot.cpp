@@ -27,7 +27,6 @@
 #include "bench/common.hpp"
 #include "core/scenario.hpp"
 #include "core/srtec.hpp"
-#include "trace/csv.hpp"
 #include "util/bytes.hpp"
 #include "util/random.hpp"
 
@@ -153,10 +152,6 @@ int main() {
   bench::note("4 nodes, Poisson arrivals at 70%% load, deadlines U[1,50] ms,");
   bench::note("250 SRT bands -> ΔH = 250 * Δt_p; 2 s per point");
 
-  CsvWriter csv{"bench_priority_slot.csv"};
-  csv.header({"slot_us", "horizon_ms", "inversions_per_msg", "beyond_horizon",
-              "promotions_per_msg", "blocked_per_msg"});
-
   std::printf("\n  %-10s %-13s %-18s %-16s %-16s %s\n", "Δt_p (us)",
               "ΔH (ms)", "inversions/msg", "beyond ΔH", "promotions/msg",
               "blocked/msg");
@@ -169,8 +164,6 @@ int main() {
     std::printf("  %-10lld %-13.1f %-18.4f %-16.3f %-16.2f %.3f\n",
                 static_cast<long long>(slot_us), horizon_ms, r.inversion_rate,
                 r.beyond_horizon, r.promotions_per_msg, r.blocked_per_msg);
-    csv.row(slot_us, horizon_ms, r.inversion_rate, r.beyond_horizon,
-            r.promotions_per_msg, r.blocked_per_msg);
   }
   bench::rule();
   bench::note("inversions are minimal where the horizon just covers the 50 ms");

@@ -19,7 +19,6 @@
 #include "bench/common.hpp"
 #include "core/scenario.hpp"
 #include "core/srtec.hpp"
-#include "trace/csv.hpp"
 #include "util/random.hpp"
 
 using namespace rtec;
@@ -163,10 +162,6 @@ int main() {
   bench::note("4 nodes, Poisson arrivals, deadlines U[0.8,20] ms, Δt_p = 160 us,");
   bench::note("2 s per point. frozen = band fixed at publish (no promotion).");
 
-  CsvWriter csv{"bench_promotion_overhead.csv"};
-  csv.header({"load", "promotions_per_msg", "blocked_per_msg", "edf_miss",
-              "frozen_miss"});
-
   std::printf("\n  %-7s %-18s %-15s %-12s %-14s %s\n", "load",
               "promotions/msg", "blocked/msg", "edf miss", "frozen miss",
               "offered");
@@ -179,8 +174,6 @@ int main() {
                 edf.promotions_per_msg, edf.blocked_per_msg, edf.miss_ratio,
                 frozen.miss_ratio,
                 static_cast<unsigned long long>(edf.offered));
-    csv.row(load, edf.promotions_per_msg, edf.blocked_per_msg, edf.miss_ratio,
-            frozen.miss_ratio);
   }
   bench::rule();
   bench::note("promotion work grows with queueing (messages wait longer, cross");

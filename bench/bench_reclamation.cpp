@@ -23,7 +23,6 @@
 #include "bench/sweep.hpp"
 #include "core/hrtec.hpp"
 #include "core/scenario.hpp"
-#include "trace/csv.hpp"
 #include "trace/metrics.hpp"
 #include "util/random.hpp"
 #include "util/task_pool.hpp"
@@ -260,9 +259,6 @@ int main() {
               kRounds, static_cast<long long>(kRound.ns() / 1'000'000));
   bench::note("NRT background measures reclaimable goodput (1 Mbit/s bus)");
 
-  CsvWriter csv{"bench_reclamation.csv"};
-  csv.header({"slots", "activity", "ours_nrt_kbps", "ttcan_nrt_kbps",
-              "advantage_pct", "reserved_frac"});
   bench::BenchJson bj{"reclamation"};
   bj.meta("generated_by", "bench_reclamation");
   bj.meta("threads", static_cast<double>(bench::sweep_threads()));
@@ -297,8 +293,6 @@ int main() {
     std::printf("  %-6d %6.1f%%   %-9.2f %-12.0f %-12.0f %+.0f%%\n", slots,
                 ours.reserved_frac * 100, a, ours.nrt_kbps, ttcan.nrt_kbps,
                 adv);
-    csv.row(slots, a, ours.nrt_kbps, ttcan.nrt_kbps, adv,
-            ours.reserved_frac);
     bj.row({{"slots", static_cast<double>(slots)},
             {"activity", a},
             {"ours_nrt_kbps", ours.nrt_kbps},

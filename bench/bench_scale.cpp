@@ -20,7 +20,6 @@
 #include "core/scenario.hpp"
 #include "core/srtec.hpp"
 #include "time/periodic.hpp"
-#include "trace/csv.hpp"
 #include "trace/registry.hpp"
 #include "util/random.hpp"
 #include "util/task_pool.hpp"
@@ -149,9 +148,6 @@ int main() {
               static_cast<long long>(sim_time.ns() / 1'000'000'000));
   bench::note("chatter at ~40%% load from every node; clock sync running");
 
-  CsvWriter csv{"bench_scale.csv"};
-  csv.header({"nodes", "wall_s", "realtime_factor", "frames",
-              "frames_per_wall_s"});
   bench::BenchJson bj{"scale"};
   bj.meta("generated_by", "bench_scale");
   bj.meta("sim_seconds", sim_time.sec());
@@ -174,8 +170,6 @@ int main() {
     const int nodes = node_counts[i];
     std::printf("  %-8d %-10.2f %-18.1f %-12.0f %.0f\n", nodes, r.wall_s,
                 r.realtime_factor, r.frames, r.frames_per_wall_s);
-    csv.row(nodes, r.wall_s, r.realtime_factor, r.frames,
-            r.frames_per_wall_s);
     bj.row({{"nodes", static_cast<double>(nodes)},
             {"wall_s", r.wall_s},
             {"realtime_factor", r.realtime_factor},

@@ -20,7 +20,6 @@
 #include "bench/common.hpp"
 #include "core/hrtec.hpp"
 #include "core/scenario.hpp"
-#include "trace/csv.hpp"
 
 using namespace rtec;
 using namespace rtec::literals;
@@ -122,10 +121,6 @@ int main() {
   bench::note("slot: LST = 1 ms, WCTT(dlc 8, k=0) = %.0f us",
               hrt_wctt(8, {0}, bus).us());
 
-  CsvWriter csv{"bench_slot_structure.csv"};
-  csv.header({"blocker_dlc", "blocker_us", "start_after_ready_us",
-              "start_after_lst_us", "delivery_offset_us"});
-
   std::printf("\n  Table 1 — adversarial blocker just before ready time "
               "(with ΔT_wait extension)\n");
   std::printf("  %-12s %-14s %-18s %-16s %s\n", "blocker dlc", "blocker(us)",
@@ -138,8 +133,6 @@ int main() {
     std::printf("  %-12d %-14.1f %-18.1f %-16.1f %.3f\n", dlc, r.blocker_us,
                 r.start_after_ready_us, r.start_after_lst_us,
                 r.delivery_offset_us);
-    csv.row(dlc, r.blocker_us, r.start_after_ready_us, r.start_after_lst_us,
-            r.delivery_offset_us);
     all_by_lst &= r.start_after_lst_us <= 0.0;
     all_zero_jitter &= r.delivery_offset_us == 0.0;
   }

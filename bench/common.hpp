@@ -7,7 +7,7 @@
 /// \file common.hpp
 /// Shared console-table formatting for the experiment harnesses. Every
 /// bench binary prints the rows/series of one paper claim (see DESIGN.md
-/// §3) and optionally mirrors them to CSV for plotting.
+/// §3); the machine-readable ones also write BenchJson (bench/sweep.hpp).
 
 namespace rtec::bench {
 

@@ -1,7 +1,8 @@
 // Bus analyzer — decode a candump log through the rtec identifier layout.
 //
-// Works on logs recorded by this simulator (trace/candump.hpp) or captured
-// from a real interface running the protocol (`candump -l can0`). Prints
+// Works on logs rendered from this simulator's RTEB traces
+// (`rtec_trace to-candump`, trace::rteb_to_candump) or captured from a real
+// interface running the protocol (`candump -l can0`). Prints
 // per-class and per-channel statistics: frame counts, payload bytes, bus
 // time at the configured bit rate, inter-arrival statistics per etag, and
 // the observed priority bands.
@@ -25,6 +26,7 @@
 #include "lint_check.hpp"
 #include "sched/id_codec.hpp"
 #include "time/periodic.hpp"
+#include "trace/binary.hpp"
 #include "trace/candump.hpp"
 #include "util/stats.hpp"
 
@@ -50,7 +52,7 @@ std::string record_demo() {
   slot.publisher = a.id();
   (void)scn.calendar().reserve(slot);
   (void)examples::lint_calendar_or_report(scn.calendar(), "bus_analyzer demo");
-  CandumpRecorder recorder{scn.bus(), "rtec0"};
+  const trace::RtebRecorder& recorder = scn.record_rteb();
 
   scn.run_for(20_ms);
   Hrtec pub{a.middleware()};
@@ -75,9 +77,7 @@ std::string record_demo() {
   chat.start();
 
   scn.run_for(500_ms);
-  std::string text;
-  for (const auto& line : recorder.lines()) text += line + "\n";
-  return text;
+  return trace::rteb_to_candump(recorder.bytes(), "rtec0").value();
 }
 
 const char* class_name(TrafficClass c) {

@@ -164,14 +164,21 @@ RouteBound compose_bound(const TopologyInput& input, const Resolved& r,
   // path the event is (re-)published with transmission deadline
   // hop_deadline on a local clock that may disagree with its segment's
   // peers by up to Π; every gateway hop then adds its deterministic
-  // store-and-forward latency exactly.
+  // store-and-forward latency exactly. Every term is non-negative, and the
+  // parser admits precisions up to INT64_MAX ns, so the sum saturates at
+  // Duration::max() (which exceeds any declared deadline) instead of
+  // wrapping to a negative bound that T009 would accept.
   Duration bound = Duration::zero();
+  const auto add = [&bound](Duration term) {
+    bound = term > Duration::max() - bound ? Duration::max() : bound + term;
+  };
   for (const int seg : path->segments) {
-    bound += route.hop_deadline + precision_of(input.spec, seg);
+    add(route.hop_deadline);
+    add(precision_of(input.spec, seg));
     out.segment_ids.push_back(seg);
   }
   for (const LinkSpec* l : path->links) {
-    bound += l->latency;
+    add(l->latency);
     out.link_ids.push_back(l->id);
   }
   out.bound = bound;

@@ -45,7 +45,6 @@ Scenario::Scenario(Config cfg) : cfg_{cfg} {
     threads = std::min(static_cast<unsigned>(shard_count), cpus);
   }
   engine_.set_threads(threads);
-  engine_.set_lookahead_mode(cfg.lookahead);
   for (int i = 0; i < cfg.networks; ++i)
     networks_.push_back(std::make_unique<Network>(
         segment_sim(i), cfg.bus, with_bus(cfg.calendar, cfg.bus)));

@@ -61,10 +61,6 @@ class Scenario {
     /// sharded scenario sequentially on the caller (identical results, no
     /// concurrency).
     unsigned threads = 0;
-    /// Horizon policy for the conservative engine. kPerLink is the
-    /// default; kGlobalMin reproduces the PR 3 coordinator for paired
-    /// epoch-count benchmarking (traces are identical either way).
-    LookaheadMode lookahead = LookaheadMode::kPerLink;
   };
 
   Scenario() : Scenario(Config{}) {}

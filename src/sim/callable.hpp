@@ -83,10 +83,9 @@ class CallableSlab {
 class alignas(64) InlineCallable {
  public:
   /// Inline capture budget. 32 bytes covers the kernel-internal hot-path
-  /// lambdas (a few pointers/integers) and a whole `std::function<void()>`
-  /// (so legacy `Simulator::Callback` arguments stay allocation-free);
-  /// bigger captures (e.g. the bus end-of-transmission continuation) take a
-  /// recycled slab block.
+  /// lambdas (a few pointers/integers) and a whole `std::function<void()>`;
+  /// bigger captures (e.g. the bus end-of-transmission continuation or
+  /// the HRT ready-slot timer) take a recycled slab block.
   static constexpr std::size_t kInlineBytes = 32;
   /// Inline storage alignment; stricter captures go to the slab.
   static constexpr std::size_t kInlineAlign = 8;

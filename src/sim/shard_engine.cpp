@@ -205,8 +205,6 @@ HandoffChannel& ShardEngine::link(std::size_t from, std::size_t to,
   assert(from < shards_.size() && to < shards_.size());
   HandoffBatch* batch = nullptr;
   if (from != to) {
-    has_cross_shard_ = true;
-    lookahead_ = std::min(lookahead_, latency);
     const auto [it, inserted] =
         direction_index_.try_emplace(std::pair{from, to}, directions_.size());
     if (inserted) {
@@ -251,15 +249,10 @@ TimePoint ShardEngine::drain_and_peek(bool peek_all) {
   return next_min;
 }
 
-void ShardEngine::compute_horizons(TimePoint end_excl, TimePoint next_min) {
+void ShardEngine::compute_horizons(TimePoint end_excl) {
   active_.clear();
-  const TimePoint global_h =
-      has_cross_shard_
-          ? std::min(end_excl, saturating_add(next_min, lookahead_))
-          : end_excl;
-  horizon_.assign(shards_.size(),
-                  mode_ == LookaheadMode::kGlobalMin ? global_h : end_excl);
-  if (mode_ == LookaheadMode::kPerLink && has_cross_shard_) {
+  horizon_.assign(shards_.size(), end_excl);
+  if (!directions_.empty()) {
     // Earliest output time of each shard: the least fixpoint of
     //   ET_j = min(N_j, min over incoming (k -> j) of ET_k + L_kj),
     // found by label-correcting relaxation from ET = N: sweep every
@@ -334,7 +327,7 @@ void ShardEngine::run_until(TimePoint t) {
     if (epoch_span_ != nullptr && prev_min != TimePoint::max())
       epoch_span_->record((next_min - prev_min).ns());
     prev_min = next_min;
-    compute_horizons(end_excl, next_min);
+    compute_horizons(end_excl);
     ++stats_.epochs;
     stats_.shard_runs += active_.size();
     if (threads > 1 && active_.size() > 1) {

@@ -55,15 +55,14 @@
 /// minimum N has ET = N and every bound on it exceeds N — it always
 /// executes at least one event per epoch.
 ///
-/// The legacy PR 3 engine (one global horizon, N + min latency over *all*
-/// links) is retained as `LookaheadMode::kGlobalMin` for paired
-/// benchmarking and regression tests; per-link is the default and is
-/// never slower in epochs (each H_i is >= the global horizon).
+/// Per-link horizons are never narrower than one global horizon
+/// (N + min latency over *all* links): each H_i is >= it, so they never
+/// need more epochs (docs/performance.md §4).
 ///
-/// Determinism: results are bit-identical for every shard/thread count
-/// and either lookahead mode. Within an epoch shards share no mutable
-/// state (direction batches are written only by their source shard and
-/// drained only at barriers), and the injected lane orders handoffs by
+/// Determinism: results are bit-identical for every shard/thread count.
+/// Within an epoch shards share no mutable state (direction batches are
+/// written only by their source shard and drained only at barriers),
+/// and the injected lane orders handoffs by
 /// their (channel, seq) identity rather than by injection time, so
 /// neither barrier placement nor batch drain order can perturb delivery
 /// order — see simulator.hpp and docs/performance.md §4.
@@ -75,15 +74,6 @@
 namespace rtec {
 
 class EpochPool;
-
-/// Horizon policy for the conservative coordinator.
-enum class LookaheadMode {
-  /// Per-shard horizons from incoming links only (default).
-  kPerLink,
-  /// PR 3 behaviour: one global horizon N + min latency over all links.
-  /// Kept for paired epoch-count benchmarking; produces identical traces.
-  kGlobalMin,
-};
 
 class ShardEngine {
  public:
@@ -113,19 +103,12 @@ class ShardEngine {
   void set_threads(unsigned n) { threads_ = n == 0 ? 1 : n; }
   [[nodiscard]] unsigned threads() const { return threads_; }
 
-  void set_lookahead_mode(LookaheadMode m) { mode_ = m; }
-  [[nodiscard]] LookaheadMode lookahead_mode() const { return mode_; }
-
   /// Runs every shard up to and including `t` and leaves all kernels with
   /// now() == t. Callable repeatedly; handoffs committed at exactly `t`
   /// stay buffered and are injected by the next call.
   void run_until(TimePoint t);
 
   [[nodiscard]] std::size_t shard_count() const { return shards_.size(); }
-  /// Minimum cross-shard channel latency (the kGlobalMin lookahead and a
-  /// whole-topology diagnostic); Duration::max() when every channel is
-  /// intra-shard.
-  [[nodiscard]] Duration lookahead() const { return lookahead_; }
   /// Minimum latency over the links *into* `shard` — the per-link bound
   /// on how far it may trail its slowest feeder; Duration::max() when
   /// nothing feeds it.
@@ -185,9 +168,9 @@ class ShardEngine {
   /// epoch refreshed their own entry; a shard that neither ran nor
   /// received a handoff cannot have changed its queue.
   TimePoint drain_and_peek(bool peek_all);
-  /// Fills `horizon_` and `active_` for one epoch given the global
-  /// minimum `next_min` and the exclusive run bound.
-  void compute_horizons(TimePoint end_excl, TimePoint next_min);
+  /// Fills `horizon_` and `active_` for one epoch given the exclusive
+  /// run bound.
+  void compute_horizons(TimePoint end_excl);
 
   std::vector<Simulator*> shards_;
   std::vector<std::unique_ptr<HandoffChannel>> channels_;
@@ -198,10 +181,7 @@ class ShardEngine {
   std::vector<TimePoint> horizon_;  ///< per-shard epoch horizon (exclusive)
   /// Shards with work this epoch, ascending (EpochPool relies on it).
   std::vector<std::uint32_t> active_;
-  Duration lookahead_ = Duration::max();
-  bool has_cross_shard_ = false;
   unsigned threads_ = 1;
-  LookaheadMode mode_ = LookaheadMode::kPerLink;
   Stats stats_;
   SpanStats* epoch_span_ = nullptr;  ///< nullptr: profiling disabled
   /// Helper threads for parallel epochs; declared last so it is joined

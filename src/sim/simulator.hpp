@@ -2,7 +2,6 @@
 
 #include <cassert>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <type_traits>
 #include <vector>
@@ -47,10 +46,6 @@ namespace rtec {
 /// line.
 class alignas(64) Simulator {
  public:
-  /// Legacy alias; `schedule_*` accept any `void()` callable directly and
-  /// store small ones without allocation.
-  using Callback = std::function<void()>;
-
   /// Opaque handle for cancelling a scheduled event. Default-constructed
   /// handles are inert. A handle carries its event's packed (seq, slot)
   /// identity; sequence numbers never repeat, so a handle left over from a

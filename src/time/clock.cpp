@@ -58,13 +58,4 @@ void LocalClock::adjust_rate(std::int64_t ppb_delta) {
   drift_ppb_ += ppb_delta;
 }
 
-Simulator::TimerHandle LocalClock::schedule_at_local(TimePoint local_t,
-                                                     Simulator::Callback cb) {
-  TimePoint perfect = to_perfect(local_t);
-  // A clock stepped forward may make a local deadline already past; fire
-  // immediately in that case (as an MCU timer compare-match would).
-  if (perfect < sim_.now()) perfect = sim_.now();
-  return sim_.schedule_at(perfect, std::move(cb));
-}
-
 }  // namespace rtec

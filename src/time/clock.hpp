@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <utility>
 
 #include "sim/simulator.hpp"
 #include "util/time_types.hpp"
@@ -50,8 +51,15 @@ class LocalClock {
   [[nodiscard]] Duration granularity() const { return granularity_; }
 
   /// Arms a one-shot timer that fires when *this clock* reads `local_t`.
-  Simulator::TimerHandle schedule_at_local(TimePoint local_t,
-                                           Simulator::Callback cb);
+  /// The callable goes straight into the kernel's inline storage.
+  template <typename F>
+  Simulator::TimerHandle schedule_at_local(TimePoint local_t, F&& cb) {
+    TimePoint perfect = to_perfect(local_t);
+    // A clock stepped forward may make a local deadline already past; fire
+    // immediately in that case (as an MCU timer compare-match would).
+    if (perfect < sim_.now()) perfect = sim_.now();
+    return sim_.schedule_at(perfect, std::forward<F>(cb));
+  }
 
   /// Cancels a timer previously armed through this clock.
   void cancel(Simulator::TimerHandle& h) { sim_.cancel(h); }

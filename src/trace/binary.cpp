@@ -523,8 +523,7 @@ Expected<std::string, std::string> rteb_to_candump(
     if (!r.value()) return out;
     const RtebRecord& rec = *r.value();
     if (rec.kind != RtebKind::kFrame || !rec.frame.success) continue;
-    out += CandumpRecorder::format(rec.frame.frame, rec.frame.at,
-                                   interface_name);
+    out += format_candump_line(rec.frame.frame, rec.frame.at, interface_name);
     out += '\n';
   }
 }

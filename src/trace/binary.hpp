@@ -16,16 +16,15 @@
 /// \file binary.hpp
 /// RTEB — the Real-Time Event channel Binary trace format.
 ///
-/// The text recorders (CandumpRecorder, BusRecorder CSV) buffer every
-/// event as a formatted line: fine for debugging, wrong for high-rate
-/// online capture where a city-scale run emits millions of frame events
-/// and the trace must be written *while* the simulation runs. RTEB is the
-/// compact binary alternative: a versioned, little-endian, length-prefixed
-/// record stream covering everything the observability layer sees —
-/// frame deliveries (including corrupted attempts and attack collisions,
-/// which candump cannot represent), detector alarms, and gateway
-/// handoffs — written through a bounded buffer that flushes to the sink
-/// incrementally instead of accumulating the run.
+/// RTEB is the one way to capture a bus: a city-scale run emits millions
+/// of frame events and the trace must be written *while* the simulation
+/// runs. It is a versioned, little-endian, length-prefixed record stream
+/// covering everything the observability layer sees — frame deliveries
+/// (including corrupted attempts and attack collisions, which candump
+/// cannot represent), detector alarms, and gateway handoffs — written
+/// through a bounded buffer that flushes to the sink incrementally
+/// instead of accumulating the run. Candump text is derived from a trace
+/// (rteb_to_candump, `rtec_trace to-candump`), never captured beside it.
 ///
 /// Compactness comes from stateful delta coding (all state is replayed
 /// deterministically by the reader, nothing is sampled or dropped):

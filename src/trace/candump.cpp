@@ -2,21 +2,14 @@
 
 #include <cctype>
 #include <cstdio>
-#include <fstream>
 #include <sstream>
+
+#include "sim/simulator.hpp"
 
 namespace rtec {
 
-CandumpRecorder::CandumpRecorder(CanBus& bus, std::string interface_name)
-    : iface_{std::move(interface_name)} {
-  bus.add_observer([this](const CanBus::FrameEvent& ev) {
-    if (!ev.success) return;  // error frames never reach candump
-    lines_.push_back(format(ev.frame, ev.end, iface_));
-  });
-}
-
-std::string CandumpRecorder::format(const CanFrame& frame, TimePoint at,
-                                    const std::string& interface_name) {
+std::string format_candump_line(const CanFrame& frame, TimePoint at,
+                                const std::string& interface_name) {
   char buf[96];
   const std::int64_t secs = at.ns() / 1'000'000'000;
   const std::int64_t micros = at.ns() % 1'000'000'000 / 1000;
@@ -42,13 +35,6 @@ std::string CandumpRecorder::format(const CanFrame& frame, TimePoint at,
                            frame.data[static_cast<std::size_t>(i)]);
   }
   return std::string{buf, static_cast<std::size_t>(off)};
-}
-
-bool CandumpRecorder::save(const std::string& path) const {
-  std::ofstream out{path};
-  if (!out) return false;
-  for (const std::string& line : lines_) out << line << '\n';
-  return out.good();
 }
 
 namespace {

@@ -3,14 +3,14 @@
 #include <string>
 #include <vector>
 
-#include "canbus/bus.hpp"
 #include "canbus/controller.hpp"
 #include "util/expected.hpp"
 
 /// \file candump.hpp
-/// Interop with Linux SocketCAN tooling: record simulated bus traffic in
-/// `candump -l` log format, and replay candump logs (e.g. captured from a
-/// real vcan/can interface) into the simulator.
+/// Interop with Linux SocketCAN tooling: format frames as `candump -l`
+/// log lines (trace::rteb_to_candump renders a recorded RTEB trace this
+/// way), and replay candump logs (e.g. captured from a real vcan/can
+/// interface) into the simulator.
 ///
 /// Log line format (what candump writes and canplayer reads):
 ///
@@ -18,31 +18,15 @@
 ///
 /// i.e. `(seconds.microseconds) <iface> <ID-hex>#<data-hex>`; 8 hex-digit
 /// identifiers are extended (29-bit), 3-digit ones base (11-bit); an `R`
-/// after `#` marks a remote frame. Corrupted simulated transmissions are
-/// not logged (candump on real hardware never sees them either).
+/// after `#` marks a remote frame. Corrupted simulated transmissions have
+/// no line (candump on real hardware never sees them either).
 
 namespace rtec {
 
-/// Observer that appends every successful frame to a candump-format log.
-class CandumpRecorder {
- public:
-  /// Attaches to the bus; frames are buffered and written by save().
-  CandumpRecorder(CanBus& bus, std::string interface_name = "rtec0");
-
-  /// Lines recorded so far (one per successful frame).
-  [[nodiscard]] const std::vector<std::string>& lines() const { return lines_; }
-
-  /// Writes the log to `path`. Returns false on I/O failure.
-  bool save(const std::string& path) const;
-
-  /// Formats one frame the way candump would.
-  [[nodiscard]] static std::string format(const CanFrame& frame, TimePoint at,
-                                          const std::string& interface_name);
-
- private:
-  std::string iface_;
-  std::vector<std::string> lines_;
-};
+/// Formats one frame delivered at `at` the way candump would (no newline).
+[[nodiscard]] std::string format_candump_line(const CanFrame& frame,
+                                              TimePoint at,
+                                              const std::string& interface_name);
 
 /// One parsed candump log entry.
 struct CandumpEntry {

@@ -9,11 +9,10 @@
 /// \file stream.hpp
 /// Streaming (online) trace consumers.
 ///
-/// The existing trace tools (BusRecorder, CandumpRecorder, csv.hpp) buffer
-/// every event and analyze after the run — fine for debugging, wrong for
-/// anything that must run *inside* the system: an intrusion detector on a
-/// real CAN node sees one frame at a time and keeps bounded state. This
-/// header is the per-delivery push interface those consumers implement;
+/// The RTEB recorder (trace/binary.hpp) captures a run for analysis after
+/// it; an intrusion detector on a real CAN node instead sees one frame at
+/// a time and keeps bounded state *inside* the system. This header is the
+/// per-delivery push interface those consumers implement;
 /// trace/detectors.hpp provides the anomaly detectors built on it.
 ///
 /// Contract for observers:

@@ -15,6 +15,7 @@
 #include "core/srtec.hpp"
 #include "sched/id_codec.hpp"
 #include "sim/simulator.hpp"
+#include "trace/binary.hpp"
 #include "trace/candump.hpp"
 #include "trace/detectors.hpp"
 #include "util/task_pool.hpp"
@@ -261,7 +262,7 @@ TEST(AttackScenario, SuspensionSilencesVictimForTheWindow) {
 TEST(AttackTrace, SpoofedFramesCandumpRoundTrip) {
   Scenario scn;
   scn.add_node(1);
-  CandumpRecorder rec{scn.bus()};
+  const trace::RtebRecorder& rec = scn.record_rteb();
 
   SpoofingAttack::Config cfg;
   cfg.id = encode_can_id({10, 1, 77});
@@ -274,10 +275,9 @@ TEST(AttackTrace, SpoofedFramesCandumpRoundTrip) {
                      /*attacker_id=*/9, /*seed=*/1);
   scn.run_for(100_ms);
 
-  ASSERT_EQ(rec.lines().size(), 5u);
-  std::string log;
-  for (const std::string& line : rec.lines()) log += line + "\n";
-  const std::vector<CandumpEntry> entries = parse_candump(log);
+  const auto log = trace::rteb_to_candump(rec.bytes(), "rtec0");
+  ASSERT_TRUE(log.has_value()) << log.error();
+  const std::vector<CandumpEntry> entries = parse_candump(*log);
   ASSERT_EQ(entries.size(), 5u);
   for (const CandumpEntry& e : entries) {
     EXPECT_EQ(e.frame.id, cfg.id);

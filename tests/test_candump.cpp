@@ -1,8 +1,6 @@
 #include <gtest/gtest.h>
-#include <cstdio>
-#include <fstream>
-#include <sstream>
 
+#include "trace/binary.hpp"
 #include "trace/candump.hpp"
 
 namespace rtec {
@@ -17,7 +15,7 @@ TEST(Candump, FormatsExtendedFrameLikeCandump) {
   f.id = 0x1F334455;
   f.dlc = 4;
   f.data = {0xDE, 0xAD, 0xBE, 0xEF, 0, 0, 0, 0};
-  const std::string line = CandumpRecorder::format(
+  const std::string line = format_candump_line(
       f, TimePoint::from_ns(1'436'509'053'249'713'000), "vcan0");
   EXPECT_EQ(line, "(1436509053.249713) vcan0 1F334455#DEADBEEF");
 }
@@ -28,14 +26,14 @@ TEST(Candump, FormatsBaseAndRtrFrames) {
   base.id = 0x7A;
   base.dlc = 1;
   base.data[0] = 0x42;
-  EXPECT_EQ(CandumpRecorder::format(base, TimePoint::from_ns(1'500'000), "can0"),
+  EXPECT_EQ(format_candump_line(base, TimePoint::from_ns(1'500'000), "can0"),
             "(0.001500) can0 07A#42");
 
   CanFrame rtr;
   rtr.extended = false;
   rtr.id = 0x100;
   rtr.rtr = true;
-  EXPECT_EQ(CandumpRecorder::format(rtr, TimePoint::origin(), "can0"),
+  EXPECT_EQ(format_candump_line(rtr, TimePoint::origin(), "can0"),
             "(0.000000) can0 100#R");
 }
 
@@ -94,7 +92,7 @@ TEST(Candump, SkippedCountIgnoresBlankLines) {
 
 TEST(Candump, RecordReplayRoundTrip) {
   // Record a little simulated traffic...
-  std::vector<std::string> lines;
+  std::string text;
   {
     Simulator sim;
     CanBus bus{sim, BusConfig{}};
@@ -102,7 +100,7 @@ TEST(Candump, RecordReplayRoundTrip) {
     CanController b{sim, 2};
     bus.attach(a);
     bus.attach(b);
-    CandumpRecorder rec{bus, "rtec0"};
+    trace::RtebRecorder rec{bus, 0};
     for (int i = 0; i < 5; ++i) {
       sim.schedule_at(TimePoint::origin() + 1_ms * i, [&a, i] {
         CanFrame f;
@@ -113,13 +111,12 @@ TEST(Candump, RecordReplayRoundTrip) {
       });
     }
     sim.run();
-    lines = rec.lines();
+    const auto rendered = trace::rteb_to_candump(rec.bytes(), "rtec0");
+    ASSERT_TRUE(rendered.has_value()) << rendered.error();
+    text = *rendered;
   }
-  ASSERT_EQ(lines.size(), 5u);
 
   // ...then replay the log into a fresh simulation and compare.
-  std::string text;
-  for (const auto& l : lines) text += l + "\n";
   const auto entries = parse_candump(text);
   ASSERT_EQ(entries.size(), 5u);
 
@@ -138,33 +135,6 @@ TEST(Candump, RecordReplayRoundTrip) {
   sim.run();
   ASSERT_EQ(seen.size(), 5u);
   for (std::uint32_t i = 0; i < 5; ++i) EXPECT_EQ(seen[i], 0x100u + i);
-}
-
-TEST(Candump, SaveWritesFile) {
-  Simulator sim;
-  CanBus bus{sim, BusConfig{}};
-  CanController a{sim, 1};
-  CanController b{sim, 2};
-  bus.attach(a);
-  bus.attach(b);
-  CandumpRecorder rec{bus};
-  CanFrame f;
-  f.id = 0x123;
-  f.dlc = 1;
-  f.data[0] = 0xAB;
-  (void)a.submit(f, TxMode::kAutoRetransmit);
-  sim.run();
-  const char* path = "test_candump_tmp.log";
-  ASSERT_TRUE(rec.save(path));
-  const auto parsed = parse_candump([&] {
-    std::ifstream in{path};
-    std::stringstream ss;
-    ss << in.rdbuf();
-    return ss.str();
-  }());
-  ASSERT_EQ(parsed.size(), 1u);
-  EXPECT_EQ(parsed[0].frame.id, 0x123u);
-  std::remove(path);
 }
 
 }  // namespace

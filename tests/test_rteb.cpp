@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -258,7 +259,7 @@ TEST(Rteb, StructuralDamageIsAHardError) {
 
 TEST(Rteb, CandumpRoundTripIsLossless) {
   // candump -> RTEB -> candump reproduces the text byte-for-byte
-  // (canonical formatting, which CandumpRecorder::format emits).
+  // (canonical formatting, which format_candump_line emits).
   std::string text;
   CanFrame periodic;
   periodic.id = 0x1A334455;
@@ -276,13 +277,13 @@ TEST(Rteb, CandumpRoundTripIsLossless) {
   rtr.rtr = true;
   for (int i = 0; i < 50; ++i) {
     const auto t = TimePoint::from_ns(1'000'000 + i * 2'000'000LL);
-    text += CandumpRecorder::format(periodic, t, "can0") + "\n";
+    text += format_candump_line(periodic, t, "can0") + "\n";
     if (i % 5 == 0)
-      text += CandumpRecorder::format(base, t + Duration::microseconds(250),
-                                      "can0") + "\n";
+      text += format_candump_line(base, t + Duration::microseconds(250),
+                                  "can0") + "\n";
     if (i % 7 == 0)
-      text += CandumpRecorder::format(rtr, t + Duration::microseconds(500),
-                                      "can0") + "\n";
+      text += format_candump_line(rtr, t + Duration::microseconds(500),
+                                  "can0") + "\n";
   }
 
   std::size_t skipped = 123;
@@ -311,9 +312,9 @@ TEST(Rteb, TenTimesSmallerThanCandumpOnPeriodicTraffic) {
   }
   for (int i = 0; i < 1000; ++i) {
     const auto t = TimePoint::from_ns(1'000'000'000 + i * 1'000'000LL);
-    text += CandumpRecorder::format(f1, t, "can0") + "\n";
-    text += CandumpRecorder::format(f2, t + Duration::microseconds(200),
-                                    "can0") + "\n";
+    text += format_candump_line(f1, t, "can0") + "\n";
+    text += format_candump_line(f2, t + Duration::microseconds(200),
+                                "can0") + "\n";
   }
   const std::string rteb = rteb_from_candump(text, 0);
   EXPECT_GE(text.size(), 10 * rteb.size())
@@ -353,8 +354,9 @@ TEST(Rteb, FileBackedWriterStreamsThroughBoundedBuffer) {
 }
 
 TEST(Rteb, RecorderCapturesCorruptedAttemptsCandumpCannot) {
-  // A bus with a fault model: candump only sees deliveries, the RTEB
-  // recorder sees every occupancy including the corrupted attempt.
+  // A bus with a fault model: a receiver (and candump) only sees
+  // deliveries, the RTEB recorder sees every occupancy including the
+  // corrupted attempt, with its attempt number.
   Simulator sim;
   CanBus bus{sim, BusConfig{}};
   CanController a{sim, 1};
@@ -365,7 +367,8 @@ TEST(Rteb, RecorderCapturesCorruptedAttemptsCandumpCannot) {
   faults.add_rule([](const FaultContext& ctx) { return ctx.attempt == 1; });
   bus.set_fault_model(&faults);
   RtebRecorder rec{bus, 0};
-  CandumpRecorder text{bus, "can0"};
+  std::size_t received = 0;
+  b.add_rx_listener([&received](const CanFrame&, TimePoint) { ++received; });
 
   for (int i = 0; i < 4; ++i) {
     sim.schedule_at(TimePoint::origin() + Duration::milliseconds(1 + i),
@@ -383,14 +386,19 @@ TEST(Rteb, RecorderCapturesCorruptedAttemptsCandumpCannot) {
   ASSERT_TRUE(reader.has_value()) << reader.error();
   const auto records = reader->read_all();
   ASSERT_TRUE(records.has_value()) << records.error();
-  std::size_t ok = 0, errors = 0;
-  for (const auto& r : *records) {
+  ASSERT_EQ(records->size(), 8u);  // per frame: corrupted attempt + retry
+  for (std::size_t i = 0; i < records->size(); ++i) {
+    const RtebRecord& r = (*records)[i];
     ASSERT_EQ(r.kind, RtebKind::kFrame);
-    if (r.frame.success) ++ok; else ++errors;
+    EXPECT_EQ(r.frame.frame.id, 0x100u + i / 2);
+    EXPECT_EQ(r.frame.success, i % 2 == 1);
+    EXPECT_EQ(r.frame.attempt, i % 2 == 1 ? 2 : 1);
   }
-  EXPECT_EQ(ok, text.lines().size());  // deliveries agree with candump
-  EXPECT_GT(errors, 0u);               // corrupted attempts are extra
-  EXPECT_EQ(records->size(), ok + errors);
+  EXPECT_EQ(received, 4u);  // deliveries agree with the receiver
+  // The candump rendering keeps only those deliveries.
+  const auto text = rteb_to_candump(rec.bytes(), "can0");
+  ASSERT_TRUE(text.has_value()) << text.error();
+  EXPECT_EQ(std::count(text->begin(), text->end(), '\n'), 4);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
@@ -224,7 +225,8 @@ TEST(ShardEngine, PingPongCrossesAtExactLatencyStamps) {
             pp.log_b.end());
   EXPECT_NE(std::find(pp.log_b.begin(), pp.log_b.end(), "pong@31000"),
             pp.log_b.end());
-  EXPECT_EQ(pp.engine.lookahead().ns(), (10_us).ns());
+  EXPECT_EQ(pp.engine.incoming_lookahead(0).ns(), (10_us).ns());
+  EXPECT_EQ(pp.engine.incoming_lookahead(1).ns(), (10_us).ns());
   EXPECT_GT(pp.engine.stats().epochs, 0u);
   EXPECT_EQ(pp.engine.stats().handoffs, 4u);
   EXPECT_EQ(pp.a.now().ns(), 1'000'000);
@@ -400,21 +402,26 @@ TEST(ShardEngine, IncomingLookaheadIsPerShardNotGlobal) {
   engine.link(0, 1, 10_us);
   engine.link(1, 2, 500_us);
   engine.link(0, 1, 300_us);  // second channel on the 0->1 direction
-  // Global diagnostic is the min over everything; per-shard incoming
-  // bounds differ — that asymmetry is what per-link horizons exploit.
-  EXPECT_EQ(engine.lookahead().ns(), (10_us).ns());
+  // Per-shard incoming bounds differ from the 10 us minimum over all
+  // links — that asymmetry is what per-link horizons exploit.
   EXPECT_EQ(engine.incoming_lookahead(0), Duration::max());  // nothing feeds 0
   EXPECT_EQ(engine.incoming_lookahead(1).ns(), (10_us).ns());
   EXPECT_EQ(engine.incoming_lookahead(2).ns(), (500_us).ns());
-  EXPECT_EQ(engine.lookahead_mode(), LookaheadMode::kPerLink);
 }
 
-/// Weakly-coupled chain fixture for the epoch-count comparison: shard 0
-/// is busy (events every 5 us), shards 1..3 are light (events every
-/// 2 ms), bidirectional links everywhere, sparse real handoffs so the
-/// coupling is exercised, not just declared.
+/// Weakly-coupled chain fixture for the epoch count: shard 0 is busy
+/// (events every 5 us), shards 1..3 are light (events every 2 ms),
+/// bidirectional links everywhere, sparse real handoffs so the coupling
+/// is exercised, not just declared.
 struct WeakChain {
   static constexpr int kShards = 4;
+  static constexpr int kBusyEvents = 2000;
+  static constexpr std::int64_t kBusyGapNs = 5'000;
+  static constexpr int kLightEvents = 5;
+  static constexpr std::int64_t kLightGapNs = 2'000'000;
+  static constexpr int kHandoffs = 10;
+  static constexpr std::int64_t kHandoffGapNs = 1'000'000;
+  static constexpr std::int64_t kBusyLinkNs = 400'000;
   std::vector<std::unique_ptr<Simulator>> sims;
   ShardEngine engine;
   std::vector<HandoffChannel*> right;  // shard i -> i+1
@@ -423,67 +430,78 @@ struct WeakChain {
   /// allowed to change — only each shard's own sequence is invariant.)
   std::vector<std::vector<std::int64_t>> trace{kShards};
 
-  explicit WeakChain(LookaheadMode mode) {
+  WeakChain() {
     for (int i = 0; i < kShards; ++i) {
       sims.push_back(std::make_unique<Simulator>());
       engine.add_shard(*sims.back());
     }
-    engine.set_lookahead_mode(mode);
     // Heterogeneous latencies, the honest per-link story: the busy shard
     // sits behind a 400 us gateway while the light tail is joined by fast
-    // 20 us links. Global-min throttles *every* shard to the globally
-    // shortest link; per-link horizons only feel the local neighbourhood.
-    const Duration lat[] = {400_us, 100_us, 20_us};
+    // 20 us links. A global horizon would throttle *every* shard to the
+    // globally shortest link; per-link horizons only feel the local
+    // neighbourhood.
+    const Duration lat[] = {Duration::nanoseconds(kBusyLinkNs), 100_us, 20_us};
     for (std::size_t i = 0; i + 1 < static_cast<std::size_t>(kShards); ++i) {
       right.push_back(&engine.link(i, i + 1, lat[i]));
       engine.link(i + 1, i, lat[i]);
     }
     Simulator& busy = *sims[0];
-    for (int i = 0; i < 2000; ++i)
-      busy.schedule_at(at_ns(i * 5'000),
+    for (int i = 0; i < kBusyEvents; ++i)
+      busy.schedule_at(at_ns(i * kBusyGapNs),
                        [this, &busy] { trace[0].push_back(busy.now().ns()); });
     for (int s = 1; s < kShards; ++s) {
       Simulator& light = *sims[static_cast<std::size_t>(s)];
-      for (int i = 0; i < 5; ++i)
-        light.schedule_at(at_ns(i * 2'000'000), [this, &light, s] {
+      for (int i = 0; i < kLightEvents; ++i)
+        light.schedule_at(at_ns(i * kLightGapNs), [this, &light, s] {
           trace[static_cast<std::size_t>(s)].push_back(light.now().ns());
         });
     }
     // A real handoff each millisecond keeps the chain genuinely coupled
-    // (delivery runs in shard 1's context and logs there).
-    for (int i = 0; i < 10; ++i)
-      busy.schedule_at(at_ns(i * 1'000'000 + 1), [this] {
+    // (delivery runs in shard 1's context and logs there, negated).
+    for (int i = 0; i < kHandoffs; ++i)
+      busy.schedule_at(at_ns(i * kHandoffGapNs + 1), [this] {
         right[0]->post(sims[0]->now(), [this] {
           trace[1].push_back(-sims[1]->now().ns());
         });
       });
   }
+
+  /// The per-shard logs the schedule above implies: every stamp in time
+  /// order, handoffs released kBusyLinkNs after their send.
+  [[nodiscard]] static std::vector<std::vector<std::int64_t>> expected() {
+    std::vector<std::vector<std::int64_t>> want(kShards);
+    for (int i = 0; i < kBusyEvents; ++i) want[0].push_back(i * kBusyGapNs);
+    for (std::size_t s = 1; s < static_cast<std::size_t>(kShards); ++s)
+      for (int i = 0; i < kLightEvents; ++i) want[s].push_back(i * kLightGapNs);
+    for (int i = 0; i < kHandoffs; ++i)
+      want[1].push_back(-(i * kHandoffGapNs + 1 + kBusyLinkNs));
+    std::stable_sort(want[1].begin(), want[1].end(),
+                     [](std::int64_t x, std::int64_t y) {
+                       return std::abs(x) < std::abs(y);
+                     });
+    return want;
+  }
 };
 
 TEST(ShardEngine, PerLinkLookaheadCutsEpochsOnWeaklyCoupledChain) {
-  // The satellite regression for the tentpole: identical traces, far
-  // fewer barriers. Under the global minimum every epoch advances the
-  // busy shard by the globally shortest link (~20 us); under per-link
-  // horizons its window is the 400 us round trip through its own
-  // gateway, an order of magnitude wider.
-  WeakChain per_link{LookaheadMode::kPerLink};
-  WeakChain global{LookaheadMode::kGlobalMin};
-  per_link.engine.run_until(at_ns(10'000'000));
-  global.engine.run_until(at_ns(10'000'000));
+  // Any global-minimum horizon (next event + the 20 us shortest link)
+  // lets the busy shard run at most 4 of its events (5 us apart) per
+  // epoch, so covering its 2000 events takes 500 epochs. Per-link
+  // horizons give it the 400 us round trip through its own gateway.
+  constexpr std::uint64_t kGlobalMinEpochs =
+      WeakChain::kBusyEvents / (20'000 / WeakChain::kBusyGapNs);
+  WeakChain chain;
+  chain.engine.run_until(at_ns(10'000'000));
 
-  EXPECT_EQ(per_link.trace, global.trace);  // same observable behaviour
-  EXPECT_EQ(per_link.engine.stats().handoffs,
-            global.engine.stats().handoffs);
-  const auto perlink_epochs = per_link.engine.stats().epochs;
-  const auto global_epochs = global.engine.stats().epochs;
-  // The acceptance bar is >= 30% reduction; this fixture gives far more,
-  // so assert a 2x margin to stay robust.
-  EXPECT_LT(perlink_epochs * 2, global_epochs)
-      << "per-link " << perlink_epochs << " vs global " << global_epochs;
+  EXPECT_EQ(chain.trace, WeakChain::expected());
+  EXPECT_EQ(chain.engine.stats().handoffs,
+            static_cast<std::uint64_t>(WeakChain::kHandoffs));
+  const auto epochs = chain.engine.stats().epochs;
+  EXPECT_EQ(epochs, 21u);  // pinned: a horizon change shows here first
+  EXPECT_LT(epochs * 2, kGlobalMinEpochs);
   // Idle shards skip their run entirely: shard executions stay well
   // below epochs * shard_count.
-  EXPECT_LT(per_link.engine.stats().shard_runs,
-            perlink_epochs * WeakChain::kShards);
+  EXPECT_LT(chain.engine.stats().shard_runs, epochs * WeakChain::kShards);
 }
 
 }  // namespace

@@ -1,12 +1,7 @@
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
-#include <sstream>
-
 #include "canbus/bus.hpp"
 #include "sched/id_codec.hpp"
-#include "trace/csv.hpp"
 #include "trace/metrics.hpp"
 
 namespace rtec {
@@ -100,29 +95,6 @@ TEST(PeriodProbe, DerivesPeriodsFromDeliveryInstants) {
   probe.record_delivery(TimePoint::origin() + 40_ms);  // one early
   EXPECT_EQ(probe.periods().count(), 3u);
   EXPECT_EQ(probe.period_jitter().ns(), (2_ms).ns());  // 11 ms vs 9 ms
-}
-
-TEST(CsvWriter, WritesHeaderAndRows) {
-  const char* path = "test_trace_tmp.csv";
-  {
-    CsvWriter csv{path};
-    ASSERT_TRUE(csv.ok());
-    csv.header({"a", "b", "c"});
-    csv.row(1, 2.5, "x");
-    csv.row(4, 5.5, "y");
-  }
-  std::ifstream in{path};
-  std::stringstream ss;
-  ss << in.rdbuf();
-  EXPECT_EQ(ss.str(), "a,b,c\n1,2.5,x\n4,5.5,y\n");
-  std::remove(path);
-}
-
-TEST(CsvWriter, UnopenedWriterDropsSilently) {
-  CsvWriter csv;
-  EXPECT_FALSE(csv.ok());
-  csv.header({"a"});
-  csv.row(1);  // must not crash
 }
 
 }  // namespace

@@ -1,21 +1,15 @@
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
-#include <sstream>
-
 #include "core/scenario.hpp"
 #include "core/srtec.hpp"
 #include "core/status.hpp"
-#include "trace/bus_recorder.hpp"
+#include "trace/binary.hpp"
 #include "trace/histogram.hpp"
 #include "util/stats.hpp"
 
 namespace rtec {
 namespace {
 
-using literals::operator""_ns;
-using literals::operator""_us;
 using literals::operator""_ms;
 
 // ------------------------------------------------------------ bus recorder
@@ -25,7 +19,7 @@ struct RecorderFixture : ::testing::Test {
   CanBus bus{sim, BusConfig{}};
   CanController a{sim, 1};
   CanController b{sim, 2};
-  BusRecorder rec{bus};
+  trace::RtebRecorder rec{bus, 0};
 
   void SetUp() override {
     bus.attach(a);
@@ -46,44 +40,20 @@ TEST_F(RecorderFixture, RecordsEveryOccupancyIncludingErrors) {
   bus.set_fault_model(&faults);
   send(0x100);
   sim.run();
-  ASSERT_EQ(rec.size(), 2u);  // corrupted attempt + good retry
-  EXPECT_FALSE(rec.events()[0].success);
-  EXPECT_TRUE(rec.events()[1].success);
-  EXPECT_EQ(rec.events()[0].attempt, 1);
-  EXPECT_EQ(rec.events()[1].attempt, 2);
-}
-
-TEST_F(RecorderFixture, FilterSelectsByMaskedId) {
-  send(0x100);
-  send(0x200);
-  send(0x101);
-  sim.run();
-  EXPECT_EQ(rec.filtered(0x100, 0x1ffffffe).size(), 2u);  // 0x100 and 0x101
-  EXPECT_EQ(rec.filtered(0x200, 0x1fffffff).size(), 1u);
-}
-
-TEST_F(RecorderFixture, DivergenceDetection) {
-  send(0x100);
-  send(0x200);
-  sim.run();
-  // Same-trace comparison: identical up to its full length.
-  EXPECT_EQ(BusRecorder::first_divergence(rec, rec), rec.size());
-}
-
-TEST_F(RecorderFixture, CsvDumpParsesBack) {
-  send(0x123);
-  sim.run();
-  const char* path = "test_busrec_tmp.csv";
-  ASSERT_TRUE(rec.save_csv(path));
-  std::ifstream in{path};
-  std::string header;
-  std::getline(in, header);
-  EXPECT_EQ(header,
-            "start_ns,end_ns,id_hex,prio,node,etag,dlc,success,attempt,bits");
-  std::string row;
-  ASSERT_TRUE(static_cast<bool>(std::getline(in, row)));
-  EXPECT_NE(row.find("00000123"), std::string::npos);
-  std::remove(path);
+  auto reader = trace::RtebReader::open(rec.bytes());
+  ASSERT_TRUE(reader.has_value()) << reader.error();
+  const auto records = reader->read_all();
+  ASSERT_TRUE(records.has_value()) << records.error();
+  ASSERT_EQ(records->size(), 2u);  // corrupted attempt + good retry
+  const auto& bad = (*records)[0];
+  const auto& good = (*records)[1];
+  ASSERT_EQ(bad.kind, trace::RtebKind::kFrame);
+  ASSERT_EQ(good.kind, trace::RtebKind::kFrame);
+  EXPECT_FALSE(bad.frame.success);
+  EXPECT_TRUE(good.frame.success);
+  EXPECT_EQ(bad.frame.attempt, 1);
+  EXPECT_EQ(good.frame.attempt, 2);
+  EXPECT_EQ(good.frame.frame.id, 0x100u);
 }
 
 // --------------------------------------------------------------- histogram

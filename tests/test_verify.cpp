@@ -289,6 +289,27 @@ TEST(VerifyTopology, T009FlagsBoundAboveDeadline) {
   EXPECT_FALSE(has_rule(verify_text(kCleanPair), Rule::kE2eDeadline));
 }
 
+TEST(VerifyTopology, T009SaturatesAnOverflowingBound) {
+  // tools/fixtures/bad_overflow.topo: the parser admits a precision of
+  // INT64_MAX ns. The composed bound saturates at Duration::max() and
+  // T009 rejects the route; a wrapping sum would turn negative and pass.
+  std::string text{kCleanPair};
+  const std::string from = "segment id=0 precision_ns=33000";
+  text.replace(text.find(from), from.size(),
+               "segment id=0 precision_ns=9223372036854775807");
+  TopologyInput input;
+  input.spec = parse_ok(text);
+  const auto bounds = route_bounds(input);
+  ASSERT_EQ(bounds.size(), 1u);
+  ASSERT_TRUE(bounds[0].computable);
+  EXPECT_EQ(bounds[0].bound, Duration::max());
+  const LintReport r = verify_text(text);
+  const Finding* f = find_rule(r, Rule::kE2eDeadline);
+  ASSERT_NE(f, nullptr);
+  EXPECT_EQ(f->severity, Severity::kError);
+  EXPECT_EQ(f->route, 0);
+}
+
 // ------------------------------------------------------------ T004 clash
 
 TEST(VerifyTopology, T004FlagsBridgedEtagCollidingWithLocalStream) {
