@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "bench/common.hpp"
+#include "bench/sweep.hpp"
 #include "core/binding_protocol.hpp"
 #include "core/scenario.hpp"
 #include "core/srtec.hpp"
@@ -109,6 +110,8 @@ Row run(int nodes, int subjects_per_node, bool with_background) {
 }  // namespace
 
 int main() {
+  // RTEC_BENCH_QUICK=1: the two smaller node counts, four subjects each.
+  const bool quick = bench::quick_mode();
   bench::title("commissioning", "runtime binding protocol: boot-storm cost");
   bench::note("every node resolves its subjects through the binding agent at");
   bench::note("boot; background = 40%% SRT load already on the bus");
@@ -118,7 +121,9 @@ int main() {
               "frames", "timeouts");
   bench::rule();
   for (int nodes : {4, 16, 63}) {
+    if (quick && nodes == 63) break;
     for (int subjects : {1, 4}) {
+      if (quick && subjects == 1) continue;
       for (bool bg : {false, true}) {
         const Row r = run(nodes, subjects, bg);
         std::printf("  %-7d %-10d %-12s %-11.2f %-16.1f %-9llu %llu\n", nodes,

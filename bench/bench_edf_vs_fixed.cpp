@@ -234,6 +234,8 @@ Outcome run_dual(const Workload& w) {
 }  // namespace
 
 int main() {
+  // RTEC_BENCH_QUICK=1: three loads (light, near saturation, overload).
+  const bool quick = bench::quick_mode();
   bench::title("E5", "deadline miss ratio: EDF vs deadline-monotonic vs dual-priority");
   bench::note("6 periodic + 1 bursty sporadic stream (25%% of load), 2 s per point,");
   bench::note("identical arrival traces for all three schedulers");
@@ -241,8 +243,11 @@ int main() {
   bench::BenchJson bj{"edf_vs_fixed"};
   bj.meta("generated_by", "bench_edf_vs_fixed");
   bj.meta("threads", static_cast<double>(bench::sweep_threads()));
+  if (quick) bj.meta("mode", "quick");
 
-  const std::vector<double> loads{0.3, 0.5, 0.7, 0.85, 0.95, 1.05, 1.25};
+  const std::vector<double> loads =
+      quick ? std::vector<double>{0.3, 0.95, 1.25}
+            : std::vector<double>{0.3, 0.5, 0.7, 0.85, 0.95, 1.05, 1.25};
   struct LoadRow {
     Outcome edf, edfx, dm, dual;
     bool dm_feasible = false;

@@ -21,6 +21,7 @@
 
 #include "baselines/ttcan.hpp"
 #include "bench/common.hpp"
+#include "bench/sweep.hpp"
 #include "core/hrtec.hpp"
 #include "core/scenario.hpp"
 #include "trace/metrics.hpp"
@@ -178,18 +179,23 @@ JitterStats run_ttcan(double p, int rounds) {
 }  // namespace
 
 int main() {
+  // RTEC_BENCH_QUICK=1: two fault rates, 150 rounds a point.
+  const bool quick = bench::quick_mode();
+  const int rounds = quick ? 150 : 1500;
   bench::title("E3", "latency & period jitter: middleware hold vs network delivery");
-  bench::note("periodic HRT stream, 5 ms period, slot k=3, 1500 rounds/point");
+  bench::note("periodic HRT stream, 5 ms period, slot k=3, %d rounds/point",
+              rounds);
 
   std::printf("\n  %-6s %-8s %-15s %-17s %-19s %-11s %s\n", "p", "scheme",
               "mean lat (us)", "lat jitter (us)", "period jitter (us)",
               "bits/round", "delivered");
   bench::rule();
   for (double p : {0.0, 0.05, 0.15, 0.30}) {
+    if (quick && p != 0.0 && p != 0.15) continue;
     JitterStats net;
     JitterStats mw;
-    run_ours(p, 1500, net, mw);
-    const JitterStats ttcan = run_ttcan(p, 1500);
+    run_ours(p, rounds, net, mw);
+    const JitterStats ttcan = run_ttcan(p, rounds);
     const auto row = [&](const char* name, const JitterStats& s) {
       std::printf("  %-6.2f %-8s %-15.1f %-17.1f %-19.1f %-11.0f %zu\n", p,
                   name, s.mean_latency_us, s.latency_jitter_us,

@@ -23,6 +23,7 @@
 
 #include "baselines/ftt_can.hpp"
 #include "bench/common.hpp"
+#include "bench/sweep.hpp"
 #include "core/hrtec.hpp"
 #include "core/scenario.hpp"
 #include "time/periodic.hpp"
@@ -32,11 +33,10 @@ using namespace rtec::literals;
 
 namespace {
 
-constexpr Duration kTotal = Duration::seconds(5);
 constexpr Duration kBucket = Duration::milliseconds(500);
-constexpr int kBuckets = static_cast<int>(kTotal / kBucket);
 
-std::vector<int> run_ours(std::int64_t drift_ppb, bool rate_servo) {
+std::vector<int> run_ours(std::int64_t drift_ppb, bool rate_servo,
+                          Duration total) {
   Scenario::Config cfg;
   cfg.calendar.round_length = 10_ms;
   Scenario scn{cfg};
@@ -59,7 +59,7 @@ std::vector<int> run_ours(std::int64_t drift_ppb, bool rate_servo) {
   Hrtec pub{pub_node.middleware()};
   Hrtec sub{sub_node.middleware()};
   (void)pub.announce(subject, AttributeList{attr::Periodic{10_ms}}, nullptr);
-  std::vector<int> buckets(kBuckets, 0);
+  std::vector<int> buckets(static_cast<std::size_t>(total / kBucket), 0);
   (void)sub.subscribe(subject, AttributeList{attr::QueueCapacity{8}},
                       [&] {
                         (void)sub.getEvent();
@@ -82,11 +82,11 @@ std::vector<int> run_ours(std::int64_t drift_ppb, bool rate_servo) {
     if (master.sync_master() != nullptr) master.sync_master()->stop();
   });
 
-  scn.run_until(TimePoint::origin() + kTotal);
+  scn.run_until(TimePoint::origin() + total);
   return buckets;
 }
 
-std::vector<int> run_ftt() {
+std::vector<int> run_ftt(Duration total) {
   Simulator sim;
   CanBus bus{sim, BusConfig{}};
   CanController master_ctl{sim, 1};
@@ -112,7 +112,7 @@ std::vector<int> run_ftt() {
     return f;
   });
 
-  std::vector<int> buckets(kBuckets, 0);
+  std::vector<int> buckets(static_cast<std::size_t>(total / kBucket), 0);
   consumer_ctl.add_rx_listener([&](const CanFrame& f, TimePoint now) {
     if (f.id != 0x100) return;
     const auto b = static_cast<std::size_t>(now.ns() / kBucket.ns());
@@ -124,7 +124,7 @@ std::vector<int> run_ftt() {
     master_ctl.set_online(false);
     master.stop();
   });
-  sim.run_until(TimePoint::origin() + kTotal);
+  sim.run_until(TimePoint::origin() + total);
   return buckets;
 }
 
@@ -135,14 +135,16 @@ int main() {
   bench::note("10 ms periodic stream; at t=1 s the sync master (ours) / the");
   bench::note("scheduling master (FTT-CAN) dies. Deliveries per 500 ms bucket:");
 
-  const auto ours_servo = run_ours(150'000, /*rate_servo=*/true);
-  const auto ours_raw = run_ours(150'000, /*rate_servo=*/false);
-  const auto ftt = run_ftt();
+  // RTEC_BENCH_QUICK=1: 2 s, the master's death and one second after it.
+  const Duration total = Duration::seconds(bench::quick_mode() ? 2 : 5);
+  const auto ours_servo = run_ours(150'000, /*rate_servo=*/true, total);
+  const auto ours_raw = run_ours(150'000, /*rate_servo=*/false, total);
+  const auto ftt = run_ftt(total);
 
   std::printf("\n  %-16s %-16s %-17s %s\n", "bucket (ms)",
               "ours (servo)", "ours (no servo)", "ftt-can");
   bench::rule();
-  for (int b = 0; b < kBuckets; ++b) {
+  for (int b = 0; b < static_cast<int>(ftt.size()); ++b) {
     const std::int64_t start = b * kBucket.ns() / 1'000'000;
     std::printf("  %5lld - %-8lld %-16d %-17d %d %s\n",
                 static_cast<long long>(start),

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "bench/common.hpp"
+#include "bench/sweep.hpp"
 #include "core/hrtec.hpp"
 #include "core/nrtec.hpp"
 #include "core/scenario.hpp"
@@ -31,10 +32,12 @@ using namespace rtec;
 using namespace rtec::literals;
 
 int main() {
+  // RTEC_BENCH_QUICK=1: one simulated second instead of ten.
+  const int run_seconds = bench::quick_mode() ? 1 : 10;
   TaskPool tasks;
   bench::title("E8", "mixed-criticality system: latency distributions per class");
   bench::note("8 nodes, drifting clocks (<=100 ppm) + sync, 1%% omission faults,");
-  bench::note("10 simulated seconds");
+  bench::note("%d simulated seconds", run_seconds);
 
   Scenario::Config cfg;
   cfg.calendar.round_length = 10_ms;
@@ -219,7 +222,7 @@ int main() {
 
   // --- run ----------------------------------------------------------------
   ClassUtilization util{scn.bus()};
-  scn.run_for(Duration::seconds(10));
+  scn.run_for(Duration::seconds(run_seconds));
 
   std::printf("\n  %-12s %-10s %-10s %-10s %-10s %-12s %s\n", "stream",
               "mean(us)", "p50(us)", "p99(us)", "max(us)", "jitter(us)",

@@ -14,6 +14,7 @@
 #include <memory>
 
 #include "bench/common.hpp"
+#include "bench/sweep.hpp"
 #include "core/hrtec.hpp"
 #include "core/nrtec.hpp"
 #include "core/scenario.hpp"
@@ -131,6 +132,8 @@ Row run(std::size_t payload_bytes, double srt_load, std::uint64_t /*seed*/) {
 }  // namespace
 
 int main() {
+  // RTEC_BENCH_QUICK=1: the two smaller payloads at the extreme loads.
+  const bool quick = bench::quick_mode();
   bench::title("E7", "NRT bulk transfer: throughput and non-interference");
   bench::note("fragmented channel: FIRST carries 4 payload bytes, MID/LAST 7;");
   bench::note("HRT stream (10 ms period) + SRT background above the transfer");
@@ -140,7 +143,9 @@ int main() {
               "SRT misses");
   bench::rule();
   for (std::size_t payload : {1024u, 8192u, 65536u}) {
+    if (quick && payload > 8192u) break;
     for (double load : {0.0, 0.3, 0.6, 0.9}) {
+      if (quick && load != 0.0 && load != 0.9) continue;
       const Row r = run(payload, load, 1);
       std::printf("  %-10zu %-10.1f %-18.1f %-16.1f %-12llu %llu\n", payload,
                   load, r.throughput_kbps, r.completion_ms,

@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "bench/common.hpp"
+#include "bench/sweep.hpp"
 #include "core/scenario.hpp"
 #include "core/srtec.hpp"
 #include "util/bytes.hpp"
@@ -35,8 +36,6 @@ using namespace rtec::literals;
 
 namespace {
 
-constexpr Duration kRun = Duration::seconds(2);
-
 struct Row {
   double inversion_rate = 0;   // inversions / transmitted messages
   double beyond_horizon = 0;   // fraction of messages published past ΔH
@@ -44,7 +43,7 @@ struct Row {
   double blocked_per_msg = 0;
 };
 
-Row run(Duration slot_len, std::uint64_t seed) {
+Row run(Duration slot_len, std::uint64_t seed, Duration length) {
   Scenario::Config cfg;
   cfg.srt_map.slot_length = slot_len;
   Scenario scn{cfg};
@@ -91,7 +90,7 @@ Row run(Duration slot_len, std::uint64_t seed) {
     while (true) {
       t += Duration::nanoseconds(
           static_cast<std::int64_t>(rng.exponential(mean_gap_ns)));
-      if (t >= TimePoint::origin() + kRun) break;
+      if (t >= TimePoint::origin() + length) break;
       const TimePoint deadline =
           t + Duration::microseconds(rng.uniform_int(1000, 50'000));
       const std::uint32_t uid = next_uid++;
@@ -109,7 +108,7 @@ Row run(Duration slot_len, std::uint64_t seed) {
     }
   }
 
-  scn.run_for(kRun + Duration::seconds(1));
+  scn.run_for(length + Duration::seconds(1));
 
   // Count inversions: i transmitted before j, but j was already published
   // when i started and has the earlier deadline.
@@ -148,9 +147,13 @@ Row run(Duration slot_len, std::uint64_t seed) {
 }  // namespace
 
 int main() {
+  // RTEC_BENCH_QUICK=1: three slot lengths around the optimum, 250 ms of
+  // arrivals each (the inversion count is quadratic in the messages).
+  const bool quick = bench::quick_mode();
   bench::title("E6", "priority-slot length Δt_p: schedule quality vs horizon vs overhead");
   bench::note("4 nodes, Poisson arrivals at 70%% load, deadlines U[1,50] ms,");
-  bench::note("250 SRT bands -> ΔH = 250 * Δt_p; 2 s per point");
+  bench::note(quick ? "250 SRT bands -> ΔH = 250 * Δt_p; 0.25 s per point"
+                    : "250 SRT bands -> ΔH = 250 * Δt_p; 2 s per point");
 
   std::printf("\n  %-10s %-13s %-18s %-16s %-16s %s\n", "Δt_p (us)",
               "ΔH (ms)", "inversions/msg", "beyond ΔH", "promotions/msg",
@@ -158,8 +161,9 @@ int main() {
   bench::rule();
   for (const std::int64_t slot_us : {20LL, 50LL, 100LL, 200LL, 400LL, 1600LL,
                                      6400LL, 25600LL}) {
+    if (quick && slot_us != 50 && slot_us != 200 && slot_us != 1600) continue;
     const Duration slot = Duration::microseconds(slot_us);
-    const Row r = run(slot, 31337);
+    const Row r = run(slot, 31337, quick ? 250_ms : Duration::seconds(2));
     const double horizon_ms = static_cast<double>(slot_us) * 250 / 1000.0;
     std::printf("  %-10lld %-13.1f %-18.4f %-16.3f %-16.2f %.3f\n",
                 static_cast<long long>(slot_us), horizon_ms, r.inversion_rate,

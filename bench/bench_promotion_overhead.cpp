@@ -17,6 +17,7 @@
 
 #include "baselines/fixed_priority.hpp"
 #include "bench/common.hpp"
+#include "bench/sweep.hpp"
 #include "core/scenario.hpp"
 #include "core/srtec.hpp"
 #include "util/random.hpp"
@@ -158,6 +159,8 @@ Result run_frozen(const std::vector<Arrival>& arrivals, int nodes,
 }  // namespace
 
 int main() {
+  // RTEC_BENCH_QUICK=1: a light and a near-saturated load.
+  const bool quick = bench::quick_mode();
   bench::title("E10", "dynamic priority promotion: overhead and benefit");
   bench::note("4 nodes, Poisson arrivals, deadlines U[0.8,20] ms, Δt_p = 160 us,");
   bench::note("2 s per point. frozen = band fixed at publish (no promotion).");
@@ -167,6 +170,7 @@ int main() {
               "offered");
   bench::rule();
   for (double load : {0.3, 0.6, 0.8, 0.95, 1.1}) {
+    if (quick && load != 0.3 && load != 0.95) continue;
     const auto arrivals = make_arrivals(load, 4, 99);
     const Result edf = run_edf(arrivals, 4, Duration::microseconds(160));
     const Result frozen = run_frozen(arrivals, 4, Duration::microseconds(160));

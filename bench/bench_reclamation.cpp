@@ -254,6 +254,8 @@ double hrt_share(double p, bool suppress) {
 }  // namespace
 
 int main() {
+  // RTEC_BENCH_QUICK=1: the corners of the goodput grid, two fault rates.
+  const bool quick = bench::quick_mode();
   bench::title("E4", "bandwidth reclamation: event channels vs TTCAN-like TDMA");
   bench::note("%d rounds of %lld ms; sporadic k=1 HRT reservations; saturated",
               kRounds, static_cast<long long>(kRound.ns() / 1'000'000));
@@ -262,14 +264,20 @@ int main() {
   bench::BenchJson bj{"reclamation"};
   bj.meta("generated_by", "bench_reclamation");
   bj.meta("threads", static_cast<double>(bench::sweep_threads()));
+  if (quick) bj.meta("mode", "quick");
 
   struct T1Point {
     int slots = 0;
     double activity = 0;
   };
+  const std::vector<int> slot_counts =
+      quick ? std::vector<int>{2, 8} : std::vector<int>{2, 4, 8};
+  const std::vector<double> activities =
+      quick ? std::vector<double>{0.0, 1.0}
+            : std::vector<double>{0.0, 0.25, 0.5, 1.0};
   std::vector<T1Point> grid;
-  for (int slots : {2, 4, 8})
-    for (double a : {0.0, 0.25, 0.5, 1.0}) grid.push_back({slots, a});
+  for (int slots : slot_counts)
+    for (double a : activities) grid.push_back({slots, a});
   struct T1Row {
     Goodput ours, ttcan;
   };
@@ -298,7 +306,7 @@ int main() {
             {"ours_nrt_kbps", ours.nrt_kbps},
             {"ttcan_nrt_kbps", ttcan.nrt_kbps},
             {"reserved_frac", ours.reserved_frac}});
-    if (i % 4 == 3) bench::rule();
+    if (i % activities.size() == activities.size() - 1) bench::rule();
   }
   bench::note("ours: NRT goodput is nearly independent of the reserved share —");
   bench::note("whatever HRT does not use flows down automatically. ttcan-like:");
@@ -310,7 +318,8 @@ int main() {
   std::printf("  %-8s %-18s %-18s %s\n", "p", "ours HRT share",
               "ours no-suppress", "ttcan-like");
   bench::rule();
-  const std::vector<double> ps{0.0, 0.02, 0.10};
+  const std::vector<double> ps =
+      quick ? std::vector<double>{0.0, 0.10} : std::vector<double>{0.0, 0.02, 0.10};
   struct T2Row {
     double ours = 0, ablated = 0, ttcan = 0;
   };

@@ -18,6 +18,7 @@
 #include <functional>
 
 #include "bench/common.hpp"
+#include "bench/sweep.hpp"
 #include "core/hrtec.hpp"
 #include "core/scenario.hpp"
 
@@ -113,6 +114,8 @@ Result run_trial(int blocker_dlc, bool with_extension) {
 }  // namespace
 
 int main() {
+  // RTEC_BENCH_QUICK=1: three blocker lengths instead of nine.
+  const bool quick = bench::quick_mode();
   bench::title("E1 / Fig. 3", "structure of a time-slot on the bus");
 
   const BusConfig bus;
@@ -128,7 +131,7 @@ int main() {
   bench::rule();
   bool all_by_lst = true;
   bool all_zero_jitter = true;
-  for (int dlc = 0; dlc <= 8; ++dlc) {
+  for (int dlc = 0; dlc <= 8; dlc += quick ? 4 : 1) {
     const Result r = run_trial(dlc, /*with_extension=*/true);
     std::printf("  %-12d %-14.1f %-18.1f %-16.1f %.3f\n", dlc, r.blocker_us,
                 r.start_after_ready_us, r.start_after_lst_us,

@@ -56,6 +56,12 @@ constexpr std::int64_t kIntMax = std::numeric_limits<int>::max();
 /// downstream window computation inside 64-bit arithmetic — a truncated
 /// or fuzzed image can never push the analysis into overflow.
 constexpr std::int64_t kMaxDurationNs = 1'000'000'000'000'000;
+/// The round also sizes the linter's HRT coverage grid (one 8-byte cell
+/// per microsecond of round, three arrays of them in srt_analysis.cpp), so
+/// it gets a tighter cap: one second is a hundred times the paper's 10 ms
+/// round and keeps that grid near 24 MB, where the format cap let a
+/// hostile image ask for 80 GB and abort the linter.
+constexpr std::int64_t kMaxRoundNs = 1'000'000'000;
 constexpr std::int64_t kMaxBitrate = 1'000'000'000;
 
 /// Reads a single-value directive ("round_ns 10000000"): exactly one
@@ -124,7 +130,10 @@ Expected<CalendarImage, CalendarIoError> parse_calendar_image(
                                        : bitrate;
       if (field) return fail("duplicate " + word + " directive");
       const auto v = parse_value_directive(
-          ls, word, word == "bitrate" ? kMaxBitrate : kMaxDurationNs);
+          ls, word,
+          word == "bitrate"    ? kMaxBitrate
+          : word == "round_ns" ? kMaxRoundNs
+                               : kMaxDurationNs);
       if (!v) return fail(v.error());
       field = *v;
       continue;

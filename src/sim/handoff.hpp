@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <cassert>
 #include <cstdint>
 #include <functional>
@@ -24,34 +25,43 @@
 ///    kernel's future by construction since latency >= 0).
 ///  * batched — the segments live on different shards; the handoff is
 ///    appended to the *direction batch* shared by every channel flowing
-///    from the source shard into the destination shard, and the whole
-///    batch is drained into the destination kernel in one pass at the
-///    next epoch barrier. The channel latency is then the per-link
-///    lookahead that makes the barrier placement safe: a handoff sent at
-///    t cannot release before t + latency, so it is always injected
-///    before the destination could possibly reach it.
+///    from the source shard into the destination shard. At the next epoch
+///    barrier the engine seals the batch, and the destination's owner
+///    thread injects it before that shard runs again. The channel latency
+///    is then the per-link lookahead that makes the barrier placement
+///    safe: a handoff sent at t cannot release before t + latency, so it
+///    is always injected before the destination could possibly reach it.
 ///
-/// Draining per *direction* instead of per channel means the barrier cost
-/// scales with the number of coupled shard pairs, not with the number of
-/// bridged subjects, and the drain writes each destination kernel's heap
-/// in one contiguous burst. Mixing channels inside one batch cannot
-/// perturb results: the injected lane orders delivered handoffs by their
-/// (channel, seq) identity, never by injection order.
+/// Batching per *direction* instead of per channel means the barrier cost
+/// scales with the number of coupled shard pairs that carried traffic,
+/// not with the number of bridged subjects, and the injection writes each
+/// destination kernel's heap in one contiguous burst. Mixing channels
+/// inside one batch cannot perturb results: the injected lane orders
+/// delivered handoffs by their (channel, seq) identity, never by injection
+/// order.
 ///
-/// Threading contract (TSan-verified): post() is called only from the
-/// source shard's execution context; drain() only from the coordinator
-/// between epochs. The epoch barrier orders the two — a direction batch
-/// is a SPSC ring whose producer/consumer never run concurrently.
+/// Threading contract (TSan-verified): push() is called only from the
+/// source shard's execution context, seal() only from the coordinator
+/// between epochs, inject() only from the destination shard's execution
+/// context. Each batch has two buffers: the source fills the outbox while
+/// the destination injects the inbox sealed at the previous barrier, and
+/// the barrier that swaps them orders every access on both sides.
 
 namespace rtec {
 
 /// The batched buffer for one cross-shard direction (ordered shard pair).
 /// Owned by the engine; every HandoffChannel for that direction appends
-/// into it. Storage is retained across drains, so steady-state posting
-/// never allocates.
+/// into it. Both buffers keep their storage across swaps, so steady-state
+/// posting never allocates.
 class HandoffBatch {
  public:
-  explicit HandoffBatch(Simulator& dest) : dest_{dest} {}
+  /// `dest_shard` is the destination's shard index (the engine's key for
+  /// its next-event time and inbox). `dirty`, when set, is the source
+  /// shard's list of batches with traffic: the first push after a seal
+  /// appends this batch to it, so a barrier visits only those batches.
+  explicit HandoffBatch(Simulator& dest, std::size_t dest_shard = 0,
+                        std::vector<HandoffBatch*>* dirty = nullptr)
+      : dest_{dest}, dest_shard_{dest_shard}, dirty_{dirty} {}
 
   HandoffBatch(const HandoffBatch&) = delete;
   HandoffBatch& operator=(const HandoffBatch&) = delete;
@@ -59,24 +69,41 @@ class HandoffBatch {
   /// Appends one handoff (source shard context only).
   void push(TimePoint release, std::uint32_t channel, std::uint64_t seq,
             std::function<void()> cb) {
-    buffer_.push_back(Pending{release, channel, seq, std::move(cb)});
+    if (outbox_.empty()) {
+      earliest_ = release;
+      if (dirty_ != nullptr) dirty_->push_back(this);
+    } else {
+      earliest_ = std::min(earliest_, release);
+    }
+    outbox_.push_back(Pending{release, channel, seq, std::move(cb)});
   }
 
-  /// Injects every buffered handoff into the destination kernel and
-  /// returns how many were delivered (coordinator-only, between epochs).
-  /// The vector's capacity survives the clear — the ring reuses its
-  /// storage on the next epoch.
-  std::size_t drain() {
-    const std::size_t n = buffer_.size();
-    for (Pending& p : buffer_)
+  /// Handoffs pushed since the last seal.
+  [[nodiscard]] std::size_t pending() const { return outbox_.size(); }
+  /// Earliest release among them (valid while pending() > 0): the
+  /// destination's next-event time once they are injected is the minimum
+  /// of this and its own queue's front.
+  [[nodiscard]] TimePoint earliest() const { return earliest_; }
+
+  /// Moves the pushed handoffs into the inbox and returns how many it
+  /// holds (coordinator-only, between epochs, after the previous inbox
+  /// was injected).
+  std::size_t seal() {
+    assert(inbox_.empty() && "sealing over an inbox not yet injected");
+    outbox_.swap(inbox_);
+    return inbox_.size();
+  }
+
+  /// Injects the sealed handoffs into the destination kernel
+  /// (destination shard context).
+  void inject() {
+    for (Pending& p : inbox_)
       dest_.schedule_injected(p.release, p.channel, p.seq, std::move(p.cb));
-    buffer_.clear();
-    return n;
+    inbox_.clear();
   }
 
-  /// Handoffs awaiting injection at the next barrier.
-  [[nodiscard]] std::size_t pending() const { return buffer_.size(); }
   [[nodiscard]] Simulator& dest() const { return dest_; }
+  [[nodiscard]] std::size_t dest_shard() const { return dest_shard_; }
   /// Bytes one buffered handoff occupies (engine barrier-traffic stats).
   [[nodiscard]] static constexpr std::size_t pending_bytes() {
     return sizeof(Pending);
@@ -91,14 +118,20 @@ class HandoffBatch {
   };
 
   Simulator& dest_;
-  std::vector<Pending> buffer_;
+  std::size_t dest_shard_;
+  std::vector<HandoffBatch*>* dirty_;
+  std::vector<Pending> outbox_;
+  TimePoint earliest_ = TimePoint::max();
+  /// On its own cache line: the destination's thread drains it while the
+  /// source's thread appends to the outbox.
+  alignas(64) std::vector<Pending> inbox_;
 };
 
 class HandoffChannel {
  public:
   /// `batch == nullptr` means source and destination share a kernel
   /// (unbuffered immediate injection); otherwise every post lands in the
-  /// direction batch and is drained at the next epoch barrier.
+  /// direction batch and is injected after the next epoch barrier.
   HandoffChannel(Simulator& dest, std::uint32_t id, Duration latency,
                  HandoffBatch* batch)
       : dest_{dest}, batch_{batch}, id_{id}, latency_{latency} {

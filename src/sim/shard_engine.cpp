@@ -13,14 +13,6 @@ namespace rtec {
 
 namespace {
 
-/// Saturating horizon arithmetic: a drained shard reports
-/// TimePoint::max(), and max() + latency must stay "no constraint", not
-/// wrap negative.
-inline TimePoint saturating_add(TimePoint t, Duration d) {
-  if (t > TimePoint::max() - d) return TimePoint::max();
-  return t + d;
-}
-
 inline void cpu_relax() {
 #if defined(__x86_64__) || defined(__i386__)
   __builtin_ia32_pause();
@@ -31,11 +23,27 @@ inline void cpu_relax() {
 #endif
 }
 
-/// Executes one active shard's epoch and records its next pending time,
-/// while the kernel is still hot in this thread's cache.
-inline void run_shard(Simulator& sim, TimePoint horizon, TimePoint& next) {
-  sim.run_before(horizon);
-  next = sim.peek_next_time();
+/// min(bound, min over k of next[k] + row[k]) in uint64: every next[k] is
+/// a non-negative int64 and every row entry at most INT64_MAX, so no sum
+/// wraps. Four independent lanes keep the min chains short.
+inline std::uint64_t row_min(const TimePoint* next, const std::uint64_t* row,
+                             std::size_t n, std::uint64_t bound) {
+  const auto at = [&](std::size_t k) {
+    return static_cast<std::uint64_t>(next[k].ns()) + row[k];
+  };
+  std::uint64_t h0 = bound;
+  std::uint64_t h1 = bound;
+  std::uint64_t h2 = bound;
+  std::uint64_t h3 = bound;
+  std::size_t k = 0;
+  for (; k + 4 <= n; k += 4) {
+    h0 = std::min(h0, at(k));
+    h1 = std::min(h1, at(k + 1));
+    h2 = std::min(h2, at(k + 2));
+    h3 = std::min(h3, at(k + 3));
+  }
+  for (; k < n; ++k) h0 = std::min(h0, at(k));
+  return std::min(std::min(h0, h1), std::min(h2, h3));
 }
 
 }  // namespace
@@ -46,8 +54,8 @@ inline void run_shard(Simulator& sim, TimePoint horizon, TimePoint& next) {
 /// shards, shard s belongs to thread floor(s*T/S), the contiguous rule
 /// Scenario::shard_of uses for segments, so a kernel stays in one core's
 /// cache and neighbouring segments share it. Each epoch every thread runs
-/// the active shards it owns (active shards are independent within an
-/// epoch, so which thread runs which shard cannot affect results).
+/// ShardEngine::run_owned over its shards (shards are independent within
+/// an epoch, so which thread runs which shard cannot affect results).
 ///
 /// The barrier is spin-then-park: city-scale runs have epochs of tens of
 /// microseconds, where a condvar round-trip per epoch costs more than the
@@ -55,18 +63,15 @@ inline void run_shard(Simulator& sim, TimePoint horizon, TimePoint& next) {
 /// clock-free iteration count and only then take the mutex; parking is
 /// the fallback for oversubscribed hosts and for the time between
 /// run_until calls. Happens-before edges (TSan-verified): release/acquire
-/// on `epoch_` publishes the caller's barrier work (batch drains, kernel
-/// mutations, horizon/active arrays) to helpers; release/acquire on
-/// `remaining_` publishes every helper's kernel mutations and `next_`
-/// entries back to the caller. The parked paths re-check their predicate
-/// under the mutex, so a notify can never slip between check and sleep.
+/// on `epoch_` publishes the caller's barrier work (sealed batches, inbox
+/// lists, the folded next_, the reach index) to helpers; release/acquire
+/// on `remaining_` publishes every helper's kernel mutations, reach rows,
+/// next_out_ entries, Worker blocks and dirty lists back to the caller. The parked paths re-check
+/// their predicate under the mutex, so a notify can never slip between
+/// check and sleep.
 class EpochPool {
  public:
-  EpochPool(unsigned helpers, const std::vector<Simulator*>& shards,
-            const std::vector<TimePoint>& horizon,
-            const std::vector<std::uint32_t>& active,
-            std::vector<TimePoint>& next)
-      : shards_{shards}, horizon_{horizon}, active_{active}, next_{next} {
+  EpochPool(unsigned helpers, ShardEngine& engine) : engine_{engine} {
     threads_.reserve(helpers);
     for (unsigned i = 1; i <= helpers; ++i)
       threads_.emplace_back([this, i] { helper(i); });
@@ -87,8 +92,8 @@ class EpochPool {
   /// Threads that execute shards, the caller included.
   [[nodiscard]] std::size_t threads() const { return threads_.size() + 1; }
 
-  /// Executes run_before(horizon[s]) for every s in the active list, each
-  /// on its owner thread; returns when all are done.
+  /// Runs ShardEngine::run_owned on every thread; returns when all are
+  /// done.
   void run_epoch() {
     remaining_.store(threads_.size(), std::memory_order_relaxed);
     epoch_.fetch_add(1, std::memory_order_release);
@@ -96,7 +101,7 @@ class EpochPool {
       const std::lock_guard<std::mutex> lk{m_};
       cv_start_.notify_all();
     }
-    work(0);
+    engine_.run_owned(0, threads());
     for (int spins = kSpin; remaining_.load(std::memory_order_acquire) != 0;
          --spins) {
       if (spins <= 0) {
@@ -131,19 +136,6 @@ class EpochPool {
   // typical epoch; beyond that parking is cheaper.
   static constexpr int kSpin = 1 << 14;
 
-  /// Runs the active shards thread `self` owns: floor(s*T/S) == self
-  /// holds exactly for s in [ceil(self*S/T), ceil((self+1)*S/T)), a run of
-  /// the (ascending) active list.
-  void work(std::size_t self) {
-    const std::size_t n = shards_.size();
-    const std::size_t t = threads();
-    const std::size_t end = ((self + 1) * n + t - 1) / t;
-    for (auto it = std::lower_bound(active_.begin(), active_.end(),
-                                    (self * n + t - 1) / t);
-         it != active_.end() && *it < end; ++it)
-      run_shard(*shards_[*it], horizon_[*it], next_[*it]);
-  }
-
   void helper(std::size_t self) {
     std::uint64_t seen = 0;
     for (;;) {
@@ -172,7 +164,7 @@ class EpochPool {
       // The caller waits for remaining_ == 0 before starting the next
       // epoch, so at most one bump is outstanding here.
       seen = epoch_.load(std::memory_order_acquire);
-      work(self);
+      engine_.run_owned(self, threads());
       if (remaining_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
         const std::lock_guard<std::mutex> lk{m_};
         if (caller_waiting_) cv_done_.notify_one();
@@ -180,10 +172,7 @@ class EpochPool {
     }
   }
 
-  const std::vector<Simulator*>& shards_;
-  const std::vector<TimePoint>& horizon_;
-  const std::vector<std::uint32_t>& active_;
-  std::vector<TimePoint>& next_;
+  ShardEngine& engine_;
   std::vector<std::thread> threads_;
   std::mutex m_;
   std::condition_variable cv_start_;
@@ -200,6 +189,12 @@ class EpochPool {
 ShardEngine::ShardEngine() = default;
 ShardEngine::~ShardEngine() = default;
 
+void ShardEngine::add_shard(Simulator& sim) {
+  shards_.push_back(&sim);
+  dirty_.emplace_back();
+  reach_stale_ = true;
+}
+
 HandoffChannel& ShardEngine::link(std::size_t from, std::size_t to,
                                   Duration latency) {
   assert(from < shards_.size() && to < shards_.size());
@@ -208,13 +203,16 @@ HandoffChannel& ShardEngine::link(std::size_t from, std::size_t to,
     const auto [it, inserted] =
         direction_index_.try_emplace(std::pair{from, to}, directions_.size());
     if (inserted) {
-      directions_.push_back(Direction{
-          from, to, latency, std::make_unique<HandoffBatch>(*shards_[to])});
+      directions_.push_back(
+          Direction{from, to, latency,
+                    std::make_unique<HandoffBatch>(*shards_[to], to,
+                                                   &dirty_[from])});
     } else {
       Direction& d = directions_[it->second];
       d.min_latency = std::min(d.min_latency, latency);
     }
     batch = directions_[it->second].batch.get();
+    reach_stale_ = true;
   }
   assert(channels_.size() < (std::size_t{1} << 10) &&
          "handoff channel id space exhausted (Simulator::kChannelBits)");
@@ -231,126 +229,223 @@ Duration ShardEngine::incoming_lookahead(std::size_t shard) const {
   return l;
 }
 
-TimePoint ShardEngine::drain_and_peek(bool peek_all) {
-  for (Direction& d : directions_) {
-    const std::size_t n = d.batch->drain();
-    stats_.handoffs += n;
-    if (n > 0) {
-      ++stats_.handoff_batches;
-      stats_.handoff_bytes += n * HandoffBatch::pending_bytes();
-      if (!peek_all) next_[d.to] = shards_[d.to]->peek_next_time();
+Duration ShardEngine::reach(std::size_t to, std::size_t from) {
+  assert(to < shards_.size() && from < shards_.size());
+  if (reach_stale_) {
+    prepare_reach();
+    build_rows(0, shards_.size());
+    reach_stale_ = false;
+  }
+  return Duration::nanoseconds(
+      static_cast<std::int64_t>(reach_[to * shards_.size() + from]));
+}
+
+void ShardEngine::prepare_reach() {
+  const std::size_t n = shards_.size();
+  // Incoming directions of each shard, in CSR form.
+  in_first_.assign(n + 1, 0);
+  for (const Direction& d : directions_) ++in_first_[d.to + 1];
+  for (std::size_t i = 0; i < n; ++i) in_first_[i + 1] += in_first_[i];
+  in_.resize(directions_.size());
+  std::vector<std::size_t> fill(in_first_.begin(), in_first_.end() - 1);
+  std::vector<std::size_t> out_degree(n, 0);
+  for (const Direction& d : directions_) {
+    in_[fill[d.to]++] = {d.from, static_cast<std::uint64_t>(d.min_latency.ns())};
+    ++out_degree[d.from];
+  }
+  // Room for every outgoing direction: posting never allocates.
+  for (std::size_t i = 0; i < n; ++i) dirty_[i].reserve(out_degree[i]);
+  reach_.resize(n * n);
+}
+
+void ShardEngine::build_rows(std::size_t begin, std::size_t end) {
+  const std::size_t n = shards_.size();
+  // Row i by label-correcting backwards from i over incoming links, with
+  // a FIFO of shards whose label dropped. A shard is queued at most once
+  // at a time, so n slots suffice, and with every latency positive the
+  // labels end at the least path lengths. On the 64-shard grid a row
+  // costs about a third of a binary-heap Dijkstra.
+  std::vector<std::size_t> fifo(n);
+  std::vector<char> queued(n, 0);
+  for (std::size_t i = begin; i < end; ++i) {
+    std::uint64_t* const dist = &reach_[i * n];
+    std::fill(dist, dist + n, kNoPath);
+    std::size_t head = 0;
+    std::size_t tail = 0;
+    std::size_t count = 0;
+    // Lowers every shard with a link into `via` to `at` + that link.
+    const auto relax = [&](std::size_t via, std::uint64_t at) {
+      for (std::size_t e = in_first_[via]; e < in_first_[via + 1]; ++e) {
+        const auto [from, latency] = in_[e];
+        // Saturate at kNoPath: a path that long constrains nothing.
+        const std::uint64_t d = std::min(at + latency, kNoPath);
+        if (d >= dist[from]) continue;
+        dist[from] = d;
+        if (queued[from] != 0) continue;
+        queued[from] = 1;
+        fifo[tail] = from;
+        tail = tail + 1 == n ? 0 : tail + 1;
+        ++count;
+      }
+    };
+    // Paths of one or more links: i starts unreached and is labelled only
+    // by a cycle back into it.
+    relax(i, 0);
+    while (count > 0) {
+      const std::size_t j = fifo[head];
+      head = head + 1 == n ? 0 : head + 1;
+      --count;
+      queued[j] = 0;
+      relax(j, dist[j]);
     }
   }
-  if (peek_all)
-    for (std::size_t i = 0; i < shards_.size(); ++i)
-      next_[i] = shards_[i]->peek_next_time();
+}
+
+TimePoint ShardEngine::barrier() {
   TimePoint next_min = TimePoint::max();
-  for (const TimePoint n : next_) next_min = std::min(next_min, n);
+  for (Worker& w : workers_) {
+    next_min = std::min(next_min, w.next_min);
+    for (HandoffBatch* b : w.dirty) {
+      const std::size_t to = b->dest_shard();
+      next_[to] = std::min(next_[to], b->earliest());
+      next_min = std::min(next_min, b->earliest());
+      const std::size_t n = b->seal();
+      inbox_[to].push_back(b);
+      stats_.handoffs += n;
+      ++stats_.handoff_batches;
+      stats_.handoff_bytes += n * HandoffBatch::pending_bytes();
+    }
+    w.dirty.clear();
+  }
   return next_min;
 }
 
-void ShardEngine::compute_horizons(TimePoint end_excl) {
-  active_.clear();
-  horizon_.assign(shards_.size(), end_excl);
-  if (!directions_.empty()) {
-    // Earliest output time of each shard: the least fixpoint of
-    //   ET_j = min(N_j, min over incoming (k -> j) of ET_k + L_kj),
-    // found by label-correcting relaxation from ET = N: sweep every
-    // direction until a sweep lowers nothing. A shard's pending queue
-    // alone (N_j) is NOT a sound bound on what it may yet execute: it can
-    // receive a handoff below N_j and relay it, so transitive chains must
-    // be closed over. Every latency is positive, so the fixpoint is unique
-    // and a shortest path crosses at most S - 1 links: the loop ends
-    // within S sweeps. Saturated sources (drained shards, N == max) relax
-    // nothing and receive whatever reaches them through links.
-    et_ = next_;
-    for (bool lowered = true; lowered;) {
-      lowered = false;
-      for (const Direction& d : directions_) {
-        const TimePoint reach = saturating_add(et_[d.from], d.min_latency);
-        if (reach < et_[d.to]) {
-          et_[d.to] = reach;
-          lowered = true;
-        }
-      }
-    }
-    // H_i = min over incoming links (j -> i) of ET_j + L_ji. A feeder
-    // nothing can ever reach (ET_j == max) imposes no constraint.
-    for (const Direction& d : directions_)
-      horizon_[d.to] = std::min(horizon_[d.to],
-                                saturating_add(et_[d.from], d.min_latency));
-  }
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    const TimePoint h = horizon_[i];
-    if (next_[i] < h) {
-      active_.push_back(static_cast<std::uint32_t>(i));
+void ShardEngine::inject_inbox(std::size_t shard) {
+  for (HandoffBatch* b : inbox_[shard]) b->inject();
+  inbox_[shard].clear();
+}
+
+void ShardEngine::hand_over_dirty(std::size_t shard, Worker& w) {
+  for (HandoffBatch* b : dirty_[shard]) w.dirty.push_back(b);
+  dirty_[shard].clear();
+}
+
+void ShardEngine::run_owned(std::size_t self, std::size_t threads) {
+  const std::size_t n = shards_.size();
+  const auto end = static_cast<std::uint64_t>(end_excl_.ns());
+  Worker& w = workers_[self];
+  TimePoint local_min = TimePoint::max();
+  // floor(s*T/S) == self holds exactly for s in [ceil(self*S/T),
+  // ceil((self+1)*S/T)).
+  const std::size_t first = (self * n + threads - 1) / threads;
+  const std::size_t last = ((self + 1) * n + threads - 1) / threads;
+  // The first epoch after link(): each owner builds the rows it reads.
+  if (reach_stale_) build_rows(first, last);
+  for (std::size_t i = first; i < last; ++i) {
+    inject_inbox(i);
+    TimePoint next = next_[i];
+    // A shard whose next event lies at or beyond the run bound cannot run
+    // this epoch, whatever its horizon.
+    const TimePoint horizon =
+        next < end_excl_
+            ? TimePoint::from_ns(static_cast<std::int64_t>(
+                  row_min(next_.data(), &reach_[i * n], n, end)))
+            : end_excl_;
+    // Progress: every term of the earliest shard's row lies above its N.
+    assert(next != epoch_min_ || next < horizon);
+    if (next < horizon) {
+      shards_[i]->run_before(horizon);
+      ++w.shard_runs;
       ++stats_.per_shard_runs[i];
-      // h <= end_excl < max and next_[i] < h, so the advance is a positive
-      // int64; log2 bucket = position of its highest set bit.
-      const auto advance = static_cast<std::uint64_t>((h - next_[i]).ns());
-      ++stats_.horizon_advance_log2[static_cast<std::size_t>(
+      // The advance is a positive int64; log2 bucket = position of its
+      // highest set bit.
+      const auto advance = static_cast<std::uint64_t>((horizon - next).ns());
+      ++w.horizon_advance_log2[static_cast<std::size_t>(
           std::bit_width(advance) - 1)];
-    } else if (next_[i] < TimePoint::max()) {
+      next = shards_[i]->peek_next_time();
+      hand_over_dirty(i, w);
+    } else if (next < TimePoint::max()) {
       // Pending work but no safe horizon this epoch: the idle time the
       // speedup investigation wants attributed.
-      ++stats_.shard_skips;
+      ++w.shard_skips;
       ++stats_.per_shard_skips[i];
     }
+    next_out_[i] = next;
+    local_min = std::min(local_min, next);
   }
-  // Progress: the shard holding next_min has ET == next_min (positive
-  // latencies cannot lower it further), so every bound on it is at least
-  // next_min + L > next_min and it is always active.
-  assert(!active_.empty());
+  w.next_min = local_min;
 }
 
 void ShardEngine::run_until(TimePoint t) {
   assert(t < TimePoint::max());
-  const auto threads = std::min<std::size_t>(threads_, shards_.size());
+  const std::size_t n = shards_.size();
+  const auto threads = std::min<std::size_t>(threads_, n);
   // The horizon bound is exclusive; run_before(t + 1ns) executes every
   // event with timestamp <= t, i.e. run_until(t) semantics.
-  const TimePoint end_excl = t + Duration::nanoseconds(1);
+  end_excl_ = t + Duration::nanoseconds(1);
 
-  next_.resize(shards_.size(), TimePoint::max());
-  active_.reserve(shards_.size());
-  if (stats_.per_shard_runs.size() != shards_.size()) {
-    stats_.per_shard_runs.resize(shards_.size(), 0);
-    stats_.per_shard_skips.resize(shards_.size(), 0);
+  if (reach_stale_) prepare_reach();
+  inbox_.resize(n);
+  next_.resize(n);
+  next_out_.resize(n);
+  workers_.resize(std::max<std::size_t>(threads, 1));
+  if (stats_.per_shard_runs.size() != n) {
+    stats_.per_shard_runs.resize(n, 0);
+    stats_.per_shard_skips.resize(n, 0);
   }
   if (pool_ && pool_->threads() != threads) pool_.reset();
 
+  // Events may have been scheduled or cancelled, and handoffs posted,
+  // from outside since the last call: peek every shard and collect every
+  // dirty list once. Epochs then hand both over per thread.
+  TimePoint entry_min = TimePoint::max();
+  for (std::size_t i = 0; i < n; ++i) {
+    next_[i] = shards_[i]->peek_next_time();
+    assert(next_[i].ns() >= 0 && "events precede the origin");
+    entry_min = std::min(entry_min, next_[i]);
+    hand_over_dirty(i, workers_.front());
+  }
+  for (Worker& w : workers_) w.next_min = TimePoint::max();
+  workers_.front().next_min = entry_min;
+
   TimePoint prev_min = TimePoint::max();  // sentinel: no epoch yet
-  // The first barrier peeks every shard: events may have been scheduled
-  // or cancelled from outside since the last call.
-  for (bool first = true;; first = false) {
-    const TimePoint next_min = drain_and_peek(first);
+  for (;;) {
+    const TimePoint next_min = barrier();
     if (next_min > t) break;
     if (epoch_span_ != nullptr && prev_min != TimePoint::max())
       epoch_span_->record((next_min - prev_min).ns());
     prev_min = next_min;
-    compute_horizons(end_excl);
+    epoch_min_ = next_min;
     ++stats_.epochs;
-    stats_.shard_runs += active_.size();
-    if (threads > 1 && active_.size() > 1) {
+    if (threads > 1) {
       if (!pool_)
         pool_ = std::make_unique<EpochPool>(
-            static_cast<unsigned>(threads - 1), shards_, horizon_, active_,
-            next_);
+            static_cast<unsigned>(threads - 1), *this);
       pool_->run_epoch();
     } else {
-      // Serial path (and single-active-shard epochs, where the barrier
-      // round-trip would cost more than it buys): index order, which is
-      // irrelevant to results — active shards are independent within an
-      // epoch.
-      for (const std::uint32_t s : active_)
-        run_shard(*shards_[s], horizon_[s], next_[s]);
+      run_owned(0, 1);
     }
+    reach_stale_ = false;
+    // The owners wrote every shard's next-event time into next_out_; it
+    // is what the next barrier folds into and the next epoch reads.
+    next_.swap(next_out_);
+  }
+  // The final barrier sealed what the last epoch posted; everything else
+  // was injected by its destination's owner. Every pending handoff is now
+  // in its kernel, as after any earlier barrier.
+  for (std::size_t i = 0; i < n; ++i) inject_inbox(i);
+  for (Worker& w : workers_) {
+    stats_.shard_runs += std::exchange(w.shard_runs, 0);
+    stats_.shard_skips += std::exchange(w.shard_skips, 0);
+    for (std::size_t b = 0; b < w.horizon_advance_log2.size(); ++b)
+      stats_.horizon_advance_log2[b] +=
+          std::exchange(w.horizon_advance_log2[b], 0);
   }
   if (pool_) {
     stats_.barrier_spins += pool_->take_spin_waits();
     stats_.barrier_parks += pool_->take_park_waits();
   }
-  // All events <= t have executed and every pending handoff releasing
-  // <= t has been injected (loop invariant); park each kernel at t.
+  // All events <= t have executed; park each kernel at t.
   for (Simulator* s : shards_) s->run_until(t);
 }
 

@@ -2,6 +2,7 @@
 
 #include <array>
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <memory>
 #include <utility>
@@ -24,48 +25,56 @@
 /// the global minimum and epoch counts collapse on heterogeneous
 /// topologies.
 ///
-///   1. barrier: drain every direction batch into its destination kernel;
-///      record N_j = each shard j's next pending event time
-///   2. compute every shard's *earliest output time* — the lower bound on
-///      when it could execute anything from now on, including events it
-///      has not received yet — as the least fixpoint of
-///        ET_j = min(N_j, min over incoming links (k -> j) of ET_k + L_kj)
-///      (label-correcting relaxation over the positive-latency link
-///      graph from ET = N: sweep every direction until nothing lowers,
-///      at most S sweeps for S shards), then
-///        H_i = min over incoming links (j -> i) of  ET_j + L_ji
-///      where L_ji is the minimum latency over that direction's channels
-///      (no incoming links, or every feeder drained: H_i = run bound)
-///   3. every shard with N_i < H_i executes its events with timestamp
-///      < H_i, in parallel on the thread that owns it; the rest idle this
-///      epoch
+/// When links change (the first run_until after link()), the engine builds
+/// the reach table R[i][k]: the least latency of any path of one or more
+/// links from shard k to shard i (infinite when there is none): row i by
+/// one shortest-path pass backwards from i, on the thread that owns i,
+/// in the first epoch. An epoch is then:
 ///
-/// Safety: any event shard j ever executes from this barrier on — its own
-/// pending events (t >= N_j) or relays of handoffs it has yet to receive
-/// (which arrive no earlier than ET_k + L_kj from some feeder k) — has
-/// timestamp >= ET_j by induction over relay chains, so any handoff it
-/// commits toward shard i releases at >= ET_j + L_ji >= H_i: beyond what
-/// shard i executes before the next barrier, where it is injected. The
-/// transitive closure matters — bounding H_i by the feeders' *pending*
-/// events alone (N_j + L_ji) is unsound, because a feeder can receive and
-/// relay an event below its own N_j. Handoffs are the only cross-shard
-/// influence, hence no shard can ever receive an event in its executed
-/// past (asserted by the kernel's injected lane). Progress: every
-/// cross-shard latency is > 0 (asserted), so the shard holding the global
-/// minimum N has ET = N and every bound on it exceeds N — it always
-/// executes at least one event per epoch.
+///   1. barrier (caller): each thread has handed over the least
+///      next-event time among its shards and the direction batches its
+///      shards filled. For each batch, fold its earliest release into the
+///      destination's next-event time N_i and seal its buffer into the
+///      destination's inbox. When min_k N_k lies beyond the run bound,
+///      inject the sealed inboxes and stop.
+///   2. every thread, for each shard i it owns: inject i's inbox, then
+///        H_i = min(run bound, min over k of N_k + R[i][k])
+///      (a branch-free row minimum over the N the barrier left), and when
+///      N_i < H_i execute i's events with timestamp < H_i. It records each
+///      shard's new N in a second buffer, which becomes the next epoch's N.
 ///
+/// Safety: every event any shard executes from this barrier on descends,
+/// through zero or more handoffs, from an event pending at the barrier on
+/// some shard k, at t >= N_k, and each handoff adds at least its link's
+/// latency. So anything shard i receives from now on releases at
+/// >= N_k + R[i][k] for some k, hence >= H_i: beyond what it executes
+/// before the next barrier, where it is injected. H_i is also the least
+/// fixpoint of the label-correcting recurrence
+///   ET_j = min(N_j, min over links (k -> j) of ET_k + L_kj),
+///   H_i  = min over links (j -> i) of ET_j + L_ji,
+/// because ET_j + L_ji unrolls into N_k plus a path of >= 1 links; the
+/// closure matters, since bounding H_i by the feeders' *pending* events
+/// alone (N_j + L_ji) is unsound when a feeder can relay something it has
+/// not yet received. Handoffs are the only cross-shard influence, hence
+/// no shard can ever receive an event in its executed past (asserted by
+/// the kernel's injected lane). Progress: every cross-shard latency is
+/// > 0 (asserted), so the shard holding the global minimum N has every
+/// term of its row above N and always executes at least one event.
+///
+/// The caller's serial work per epoch is O(threads + dirty batches); the
+/// horizons, injections and next-event minima run on the threads that
+/// own the shards.
 /// Per-link horizons are never narrower than one global horizon
 /// (N + min latency over *all* links): each H_i is >= it, so they never
 /// need more epochs (docs/performance.md §4).
 ///
 /// Determinism: results are bit-identical for every shard/thread count.
-/// Within an epoch shards share no mutable state (direction batches are
-/// written only by their source shard and drained only at barriers),
-/// and the injected lane orders handoffs by
-/// their (channel, seq) identity rather than by injection time, so
-/// neither barrier placement nor batch drain order can perturb delivery
-/// order — see simulator.hpp and docs/performance.md §4.
+/// Within an epoch shards share no mutable state (a batch's outbox is
+/// written only by its source shard, its inbox read only by its
+/// destination, and the two swap only at barriers), and the injected lane
+/// orders handoffs by their (channel, seq) identity rather than by
+/// injection time, so neither barrier placement nor injection order can
+/// perturb delivery order — see simulator.hpp and docs/performance.md §4.
 /// tests/test_multiseg.cpp verifies bit-identity across shard counts
 /// {1, 2, N} × worker counts, seeds and topology shapes; the epoch
 /// barriers are the only cross-thread synchronization, verified under
@@ -84,31 +93,37 @@ class ShardEngine {
 
   /// Registers the next shard (configuration time). Shard indices follow
   /// registration order.
-  void add_shard(Simulator& sim) { shards_.push_back(&sim); }
+  void add_shard(Simulator& sim);
 
   /// Creates the handoff channel for segment traffic flowing from shard
   /// `from` into shard `to` (same shard allowed: the channel is then
   /// unbuffered and bypasses the barrier machinery). Cross-shard channels
   /// require `latency > 0` and share one direction batch per ordered
   /// (from, to) pair; the direction's lookahead is the minimum latency of
-  /// its channels.
+  /// its channels. The next run_until rebuilds the reach table.
   HandoffChannel& link(std::size_t from, std::size_t to, Duration latency);
 
   /// Threads that execute shards in parallel epochs, *including* the
   /// calling thread: n runs the caller plus n - 1 helper threads (clamped
   /// to the shard count). <= 1 executes shards in index order on the
   /// calling thread, which yields byte-identical results. The helpers
-  /// live as long as the engine; they are started by the first epoch with
-  /// more than one active shard and restarted only after this changes.
+  /// live as long as the engine; they are started by the first epoch and
+  /// restarted only after this changes.
   void set_threads(unsigned n) { threads_ = n == 0 ? 1 : n; }
   [[nodiscard]] unsigned threads() const { return threads_; }
 
   /// Runs every shard up to and including `t` and leaves all kernels with
-  /// now() == t. Callable repeatedly; handoffs committed at exactly `t`
-  /// stay buffered and are injected by the next call.
+  /// now() == t. Callable repeatedly; handoffs committed at or before `t`
+  /// that release after it are in their destination kernels on return
+  /// and fire in a later call.
   void run_until(TimePoint t);
 
   [[nodiscard]] std::size_t shard_count() const { return shards_.size(); }
+  /// R[to][from]: the least latency of any path of one or more links from
+  /// shard `from` to shard `to`, Duration::max() when there is none. Every
+  /// horizon is a row minimum over this table; the first call after
+  /// link() rebuilds it.
+  [[nodiscard]] Duration reach(std::size_t to, std::size_t from);
   /// Minimum latency over the links *into* `shard` — the per-link bound
   /// on how far it may trail its slowest feeder; Duration::max() when
   /// nothing feeds it.
@@ -131,8 +146,8 @@ class ShardEngine {
     std::uint64_t handoffs = 0;    ///< cross-shard handoffs injected
     std::uint64_t shard_runs = 0;  ///< shard executions summed over epochs
     std::uint64_t shard_skips = 0;  ///< shard-epochs idled (no safe work)
-    std::uint64_t handoff_batches = 0;  ///< non-empty direction drains
-    std::uint64_t handoff_bytes = 0;    ///< payload bytes those drains moved
+    std::uint64_t handoff_batches = 0;  ///< non-empty direction seals
+    std::uint64_t handoff_bytes = 0;    ///< payload bytes those seals moved
     std::uint64_t barrier_spins = 0;  ///< barrier waits resolved by spinning
     std::uint64_t barrier_parks = 0;  ///< barrier waits that parked (condvar)
     /// log2 histogram of per-shard epoch advances: bucket b counts active
@@ -152,6 +167,8 @@ class ShardEngine {
   void set_profiler(SpanProfiler* p);
 
  private:
+  friend class EpochPool;
+
   /// One ordered cross-shard pair with at least one channel. The batch
   /// address is stable (channels keep pointers into it).
   struct Direction {
@@ -161,26 +178,67 @@ class ShardEngine {
     std::unique_ptr<HandoffBatch> batch;
   };
 
-  /// Barrier work: drains every direction batch and refreshes `next_` for
-  /// the destinations that received handoffs (every shard when
-  /// `peek_all`); returns the global minimum next-event time
-  /// (TimePoint::max() when all kernels drained). Shards that ran this
-  /// epoch refreshed their own entry; a shard that neither ran nor
-  /// received a handoff cannot have changed its queue.
-  TimePoint drain_and_peek(bool peek_all);
-  /// Fills `horizon_` and `active_` for one epoch given the exclusive
-  /// run bound.
-  void compute_horizons(TimePoint end_excl);
+  /// What one thread hands the caller at the barrier, on its own cache
+  /// lines: the least next-event time among its shards, the batches its
+  /// shards filled, and its share of the deterministic counters (summed
+  /// into stats_ when run_until returns).
+  struct alignas(64) Worker {
+    TimePoint next_min = TimePoint::max();
+    std::vector<HandoffBatch*> dirty;
+    std::uint64_t shard_runs = 0;
+    std::uint64_t shard_skips = 0;
+    std::array<std::uint64_t, 64> horizon_advance_log2{};
+  };
+
+  /// R[i][k] with no path from k to i.
+  static constexpr std::uint64_t kNoPath = static_cast<std::uint64_t>(
+      Duration::max().ns());
+
+  /// Sizes reach_ and indexes the incoming directions for build_rows
+  /// (caller, before the first epoch after link()).
+  void prepare_reach();
+  /// Fills rows [begin, end) of reach_, one shortest-path pass per row
+  /// over the incoming directions. Rows are independent: in the first
+  /// epoch after link() each owner builds the rows of its own shards.
+  void build_rows(std::size_t begin, std::size_t end);
+  /// Barrier work: seals every batch the workers handed over into its
+  /// destination's inbox, folds its earliest release into next_, and
+  /// returns the global minimum next-event time (TimePoint::max() when
+  /// all kernels drained).
+  TimePoint barrier();
+  /// Injects the batches sealed into `shard`'s inbox.
+  void inject_inbox(std::size_t shard);
+  /// Moves `shard`'s dirty list onto the worker's.
+  void hand_over_dirty(std::size_t shard, Worker& w);
+  /// One epoch for the shards thread `self` of `threads` owns: inject,
+  /// horizon, run.
+  void run_owned(std::size_t self, std::size_t threads);
 
   std::vector<Simulator*> shards_;
+  /// Per source shard, the batches it filled since its owner last handed
+  /// them over. A deque: each batch keeps a pointer to its source's list,
+  /// which must survive later add_shard calls.
+  std::deque<std::vector<HandoffBatch*>> dirty_;
+  /// Per destination shard, the batches sealed at the last barrier.
+  std::vector<std::vector<HandoffBatch*>> inbox_;
   std::vector<std::unique_ptr<HandoffChannel>> channels_;
   std::vector<Direction> directions_;
   std::map<std::pair<std::size_t, std::size_t>, std::size_t> direction_index_;
-  std::vector<TimePoint> next_;     ///< per-shard next event after barrier
-  std::vector<TimePoint> et_;       ///< per-shard earliest output time
-  std::vector<TimePoint> horizon_;  ///< per-shard epoch horizon (exclusive)
-  /// Shards with work this epoch, ascending (EpochPool relies on it).
-  std::vector<std::uint32_t> active_;
+  /// Row-major S x S: reach_[i * S + k] = R[i][k] in ns.
+  std::vector<std::uint64_t> reach_;
+  bool reach_stale_ = true;  ///< links changed; rows not yet rebuilt
+  /// Incoming directions as (from, latency), grouped by destination:
+  /// those of shard i are in_[in_first_[i] .. in_first_[i + 1]).
+  std::vector<std::size_t> in_first_;
+  std::vector<std::pair<std::size_t, std::uint64_t>> in_;
+  /// Per-shard next-event time as of the last barrier: every row minimum
+  /// of the epoch reads it. Owners write the times their shards leave
+  /// into next_out_, and the two swap after the epoch.
+  std::vector<TimePoint> next_;
+  std::vector<TimePoint> next_out_;
+  TimePoint end_excl_ = TimePoint::max();  ///< this run_until's bound
+  TimePoint epoch_min_ = TimePoint::max();  ///< the epoch's min N
+  std::vector<Worker> workers_;  ///< one per thread, the caller's first
   unsigned threads_ = 1;
   Stats stats_;
   SpanStats* epoch_span_ = nullptr;  ///< nullptr: profiling disabled

@@ -34,28 +34,26 @@ void Simulator::cancel(TimerHandle& h) {
     release_slot(idx);
     ++stats_.cancelled;
     // Lazy deletion: reclaim heap memory once cancelled entries dominate.
-    if (heap_.size() >= 64 && heap_.size() - live_ > heap_.size() / 2)
-      compact();
+    const std::size_t entries = heap_entries();
+    if (entries >= 64 && entries - live_ > entries / 2) compact();
   }
   h = TimerHandle{};
 }
 
 bool Simulator::step() {
-  while (!heap_.empty()) {
-    const Entry e = heap_.front();
+  while (const Entry* const f = front()) {
+    const Entry e = *f;
+    pop_front();
     const std::uint32_t idx = slot_of(e.seqslot);
-    if (slot_seq_[idx] != e.seqslot) {  // cancelled; drop lazily
-      heap_pop_front();
-      continue;
-    }
+    if (slot_seq_[idx] != e.seqslot) continue;  // cancelled; drop lazily
     assert(e.at >= now_);
-    heap_pop_front();
     now_ = e.at;
-    // Invalidate the slot's handles and heap entries *before* invoking, but
-    // keep it off the free list until the callback returns: the callable
-    // runs in place (no move), so the slot must not be recycled by anything
-    // the callback schedules. Cancelling the fired timer from inside its
-    // own callback is an identity-mismatch no-op, exactly as after firing.
+    // Invalidate the slot's handles and queue entries *before* invoking,
+    // but keep it off the free list until the callback returns: the
+    // callable runs in place (no move), so the slot must not be recycled by
+    // anything the callback schedules. Cancelling the fired timer from
+    // inside its own callback is an identity-mismatch no-op, exactly as
+    // after firing.
     slot_seq_[idx] = 0;
     --live_;
     ++stats_.fired;
@@ -68,34 +66,35 @@ bool Simulator::step() {
 
 void Simulator::run_until(TimePoint t) {
   assert(t >= now_);
-  while (!heap_.empty()) {
+  while (const Entry* const f = front()) {
     // Skip cancelled entries without advancing time.
-    const Entry e = heap_.front();
-    if (stale(e)) {
-      heap_pop_front();
+    if (stale(*f)) {
+      pop_front();
       continue;
     }
-    if (e.at > t) break;
+    if (f->at > t) break;
     step();
   }
   now_ = t;
 }
 
 void Simulator::run_before(TimePoint h) {
-  while (!heap_.empty()) {
-    const Entry e = heap_.front();
-    if (stale(e)) {
-      heap_pop_front();
+  while (const Entry* const f = front()) {
+    if (stale(*f)) {
+      pop_front();
       continue;
     }
-    if (e.at >= h) return;
+    if (f->at >= h) return;
     step();
   }
 }
 
 TimePoint Simulator::peek_next_time() {
-  while (!heap_.empty() && stale(heap_.front())) heap_pop_front();
-  return heap_.empty() ? TimePoint::max() : heap_.front().at;
+  for (const Entry* f = front(); f != nullptr; f = front()) {
+    if (!stale(*f)) return f->at;
+    pop_front();
+  }
+  return TimePoint::max();
 }
 
 void Simulator::run() {
@@ -103,7 +102,15 @@ void Simulator::run() {
   }
 }
 
-void Simulator::heap_push(Entry e) {
+void Simulator::push(Entry e) {
+  // An occupied register beats every heap entry, so beating it suffices.
+  const bool first = front_.seqslot != 0
+                         ? earlier(e, front_)
+                         : heap_.empty() || earlier(e, heap_.front());
+  if (first) {
+    std::swap(e, front_);  // e: the displaced occupant, if any
+    if (e.seqslot == 0) return;
+  }
   heap_.push_back(e);
   sift_up(heap_.size() - 1);
 }
@@ -145,6 +152,7 @@ void Simulator::sift_down(std::size_t i) {
 
 void Simulator::compact() {
   ++stats_.compactions;
+  if (front_.seqslot != 0 && stale(front_)) front_.seqslot = 0;
   std::erase_if(heap_, [this](const Entry& e) { return stale(e); });
   if (heap_.size() <= 1) return;
   // Re-heapify bottom-up; ordering is fully determined by (time, seq), so

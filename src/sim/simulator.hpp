@@ -35,8 +35,10 @@
 /// Implementation (see docs/performance.md): a 4-ary min-heap ordered by
 /// (time, seq) whose entries reference slab-recycled slots carrying the
 /// callback inline (small-buffer optimisation, no allocation on the hot
-/// path). Handles are generation-tagged for O(1) lazy cancellation; the
-/// heap compacts itself when cancelled entries outnumber live ones.
+/// path), fronted by a one-entry register that holds the earliest pending
+/// entry whenever a push beat the heap's top. Handles are generation-tagged
+/// for O(1) lazy cancellation; the queue compacts itself when cancelled
+/// entries outnumber live ones.
 
 namespace rtec {
 
@@ -95,7 +97,7 @@ class alignas(64) Simulator {
            "sequence space exhausted");
     const std::uint64_t seqslot = next_seq_++ << kSlotBits | idx;
     slot_seq_[idx] = seqslot;
-    heap_push(Entry{t, seqslot});
+    push(Entry{t, seqslot});
     ++live_;
     ++stats_.scheduled;
     return TimerHandle{seqslot};
@@ -131,7 +133,7 @@ class alignas(64) Simulator {
         kInjectedBit | std::uint64_t{channel} << (kSlotBits + kChanSeqBits) |
         seq << kSlotBits | idx;
     slot_seq_[idx] = seqslot;
-    heap_push(Entry{t, seqslot});
+    push(Entry{t, seqslot});
     ++live_;
     ++stats_.injected;
   }
@@ -166,9 +168,12 @@ class alignas(64) Simulator {
   /// Number of scheduled (non-cancelled) events.
   [[nodiscard]] std::size_t pending() const { return live_; }
 
-  /// Raw heap entries, including lazily-cancelled ones awaiting compaction
-  /// (diagnostics and bounded-memory tests; always >= pending()).
-  [[nodiscard]] std::size_t heap_entries() const { return heap_.size(); }
+  /// Raw queue entries (heap plus register), including lazily-cancelled
+  /// ones awaiting compaction (diagnostics and bounded-memory tests; always
+  /// >= pending()).
+  [[nodiscard]] std::size_t heap_entries() const {
+    return heap_.size() + (front_.seqslot != 0 ? 1 : 0);
+  }
 
  private:
   /// Heap entries are 16 bytes: the event's identity is one packed word,
@@ -237,7 +242,23 @@ class alignas(64) Simulator {
 
   std::uint32_t acquire_slot();
   void release_slot(std::uint32_t slot);
-  void heap_push(Entry e);
+  /// Queues an entry: into the register when it is earlier than both the
+  /// register's occupant (which then moves into the heap) and the heap's
+  /// top, else into the heap.
+  void push(Entry e);
+  /// The earliest queued entry, stale or not (register first); nullptr
+  /// when the queue is empty.
+  [[nodiscard]] const Entry* front() const {
+    if (front_.seqslot != 0) return &front_;
+    return heap_.empty() ? nullptr : &heap_.front();
+  }
+  /// Removes the entry front() returned.
+  void pop_front() {
+    if (front_.seqslot != 0)
+      front_.seqslot = 0;
+    else
+      heap_pop_front();
+  }
   void heap_pop_front();
   void sift_up(std::size_t i);
   void sift_down(std::size_t i);
@@ -247,6 +268,11 @@ class alignas(64) Simulator {
 
   static constexpr std::size_t kArity = 4;
 
+  /// The earliest-event register: when occupied (seqslot != 0, which no
+  /// event carries) it orders before every heap entry. It spares the heap
+  /// a sift up and a sift down for each event that is the next to fire
+  /// when it is scheduled.
+  Entry front_{TimePoint::origin(), 0};
   std::vector<Entry> heap_;
   // slab_ must outlive slot_chunks_: slot destructors return their slab
   // blocks (members are destroyed in reverse declaration order).

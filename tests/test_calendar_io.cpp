@@ -144,6 +144,8 @@ TEST(CalendarIo, EveryParseErrorBranchRejectsLoudly) {
        "round_ns"},
       {"calendar v1\nround_ns 2000000000000000\n", "round over format cap",
        "round_ns"},
+      {"calendar v1\nround_ns 1000000001\n", "round over the one-second cap",
+       "round_ns"},
       {"calendar v1\nround_ns 10000000\ngap_ns 40000\n"
        "bitrate 2000000000\n",
        "bitrate over 1 Gbit/s", "bitrate"},

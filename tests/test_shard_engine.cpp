@@ -10,6 +10,7 @@
 #include "sim/handoff.hpp"
 #include "sim/shard_engine.hpp"
 #include "sim/simulator.hpp"
+#include "util/random.hpp"
 
 // Kernel injected lane + conservative shard engine (sim/shard_engine.hpp):
 // the ordering rules that make sharded execution bit-identical to
@@ -130,8 +131,11 @@ TEST(HandoffBatch, HoldsUntilDrainAndPreservesFifo) {
   EXPECT_EQ(batch.pending(), 3u);
   EXPECT_EQ(dest.pending(), 0u);
 
-  EXPECT_EQ(batch.drain(), 3u);
+  EXPECT_EQ(batch.earliest(), at_ns(100) + 5_us);
+  EXPECT_EQ(batch.seal(), 3u);
   EXPECT_EQ(batch.pending(), 0u);
+  EXPECT_EQ(dest.pending(), 0u);  // sealed, not yet injected
+  batch.inject();
   EXPECT_EQ(dest.pending(), 3u);
   dest.run_until(at_ns(100) + 5_us);
   // All three release at the same stamped instant, in post order.
@@ -158,7 +162,9 @@ TEST(HandoffBatch, ReleaseStampsSurviveBatchingAcrossChannels) {
   fast.post(at_ns(35'000), tag("fast1"));  // releases at 40'000 (tie)
   slow.post(at_ns(5'000), tag("slow1"));   // releases at 45'000
   EXPECT_EQ(batch.pending(), 4u);
-  batch.drain();
+  EXPECT_EQ(batch.earliest(), at_ns(15'000));  // min release, not first post
+  batch.seal();
+  batch.inject();
   dest.run_until(at_ns(100'000));
   // At the 40'000 tie the lower channel id (slow, id 1) precedes fast's
   // entry even though fast1 was posted earlier.
@@ -307,7 +313,7 @@ TEST(ShardEngine, EventScheduledOnIdleShardBetweenCallsFiresAtItsStamp) {
 TEST(ShardEngine, HandoffIntoSkippedShardIsDeliveredAtItsRelease) {
   // Shard b holds one far-future event, so while busy shard a trails it
   // by less than the link latency b is skipped (pending work, no safe
-  // horizon). A handoff drained into b must refresh its next time at the
+  // horizon). A handoff sealed for b must refresh its next time at the
   // barrier: b then runs the delivery at its release and the reply lands
   // in a's stream at exactly its own release.
   for (const unsigned threads : {1u, 2u}) {
@@ -502,6 +508,239 @@ TEST(ShardEngine, PerLinkLookaheadCutsEpochsOnWeaklyCoupledChain) {
   // Idle shards skip their run entirely: shard executions stay well
   // below epochs * shard_count.
   EXPECT_LT(chain.engine.stats().shard_runs, epochs * WeakChain::kShards);
+}
+
+// --- Reach table -------------------------------------------------------
+
+/// The label-correcting relaxation the engine used before its reach
+/// table, kept as the reference: ET = N, then sweep every link until
+/// nothing lowers, then H_i = min(end, min over links (j -> i) of
+/// ET_j + L_ji), with saturating arithmetic throughout.
+struct Link {
+  std::size_t from;
+  std::size_t to;
+  std::int64_t latency_ns;
+};
+
+std::int64_t sat_add(std::int64_t a, std::int64_t b) {
+  const std::int64_t max = TimePoint::max().ns();
+  return a > max - b ? max : a + b;
+}
+
+std::vector<std::int64_t> relaxed_horizons(std::size_t n,
+                                           const std::vector<Link>& links,
+                                           const std::vector<std::int64_t>& next,
+                                           std::int64_t end) {
+  std::vector<std::int64_t> et = next;
+  for (bool lowered = true; lowered;) {
+    lowered = false;
+    for (const Link& l : links) {
+      const std::int64_t reach = sat_add(et[l.from], l.latency_ns);
+      if (reach < et[l.to]) {
+        et[l.to] = reach;
+        lowered = true;
+      }
+    }
+  }
+  std::vector<std::int64_t> h(n, end);
+  for (const Link& l : links)
+    h[l.to] = std::min(h[l.to], sat_add(et[l.from], l.latency_ns));
+  return h;
+}
+
+TEST(ShardEngine, ReachRowsGiveTheRelaxedHorizonsOnRandomWeightedGraphs) {
+  const std::int64_t max = TimePoint::max().ns();
+  int unreachable_pairs = 0;
+  int drained = 0;
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    Rng rng{seed};
+    const auto n = static_cast<std::size_t>(rng.uniform_int(1, 12));
+    std::vector<std::unique_ptr<Simulator>> sims;
+    ShardEngine engine;
+    for (std::size_t i = 0; i < n; ++i) {
+      sims.push_back(std::make_unique<Simulator>());
+      engine.add_shard(*sims.back());
+    }
+    const auto latency = [&] {
+      // Mostly gateway-sized, now and then large enough that a sum of
+      // several saturates.
+      return rng.uniform_int(0, 19) == 0 ? max / 3
+                                         : rng.uniform_int(1, 400'000);
+    };
+    std::vector<Link> links;
+    const auto add = [&](std::size_t from, std::size_t to) {
+      const std::int64_t l = latency();
+      engine.link(from, to, Duration::nanoseconds(l));
+      links.push_back({from, to, l});
+    };
+    // A chain over a prefix of the shards; the rest get only what the
+    // random links below give them, which leaves some unreachable.
+    const auto chain = static_cast<std::size_t>(rng.uniform_int(
+        1, static_cast<std::int64_t>(n)));
+    for (std::size_t i = 0; i + 1 < chain; ++i) {
+      add(i, i + 1);
+      if (rng.uniform_int(0, 1) == 0) add(i + 1, i);
+    }
+    // Shortcuts, back edges and second channels on existing directions.
+    const auto extra = rng.uniform_int(0, static_cast<std::int64_t>(n));
+    for (std::int64_t e = 0; e < extra; ++e) {
+      const auto from = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
+      const auto to = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
+      if (from != to) add(from, to);
+    }
+    std::vector<std::int64_t> next(n);
+    for (std::int64_t& v : next) {
+      v = rng.uniform_int(0, 4) == 0 ? max : rng.uniform_int(0, 1'000'000);
+      if (v == max) ++drained;
+    }
+    const std::int64_t end = rng.uniform_int(1, 2'000'000);
+
+    const std::vector<std::int64_t> want = relaxed_horizons(n, links, next, end);
+    for (std::size_t i = 0; i < n; ++i) {
+      std::int64_t h = end;
+      for (std::size_t k = 0; k < n; ++k) {
+        const std::int64_t r = engine.reach(i, k).ns();
+        if (r == max) {
+          ++unreachable_pairs;
+          continue;
+        }
+        h = std::min(h, sat_add(next[k], r));
+      }
+      EXPECT_EQ(h, want[i]) << "seed " << seed << " shard " << i;
+    }
+  }
+  // The generator covered the cases the closed form must get right.
+  EXPECT_GT(unreachable_pairs, 0);
+  EXPECT_GT(drained, 0);
+}
+
+TEST(ShardEngine, ReachCountsPathsOfOneOrMoreLinks) {
+  Simulator a;
+  Simulator b;
+  Simulator c;
+  ShardEngine engine;
+  engine.add_shard(a);
+  engine.add_shard(b);
+  engine.add_shard(c);
+  engine.link(0, 1, 10_us);
+  engine.link(1, 2, 20_us);
+  engine.link(0, 2, 50_us);  // a shortcut longer than the two-hop path
+  engine.link(2, 0, 5_us);
+  EXPECT_EQ(engine.reach(2, 0).ns(), (30_us).ns());
+  EXPECT_EQ(engine.reach(0, 1).ns(), (25_us).ns());
+  EXPECT_EQ(engine.reach(1, 2).ns(), (15_us).ns());
+  // A shard reaches itself only around a cycle: 0 -> 1 -> 2 -> 0.
+  EXPECT_EQ(engine.reach(0, 0).ns(), (35_us).ns());
+  EXPECT_EQ(engine.reach(1, 1).ns(), (35_us).ns());
+}
+
+/// Four shards in a ring of 10 us links; every shard posts a handoff to
+/// its successor from an event at exactly `bound`.
+struct RingAtBound {
+  static constexpr std::size_t kShards = 4;
+  std::vector<std::unique_ptr<Simulator>> sims;
+  ShardEngine engine;
+  /// Delivery times per destination shard (one writer each).
+  std::vector<std::vector<std::int64_t>> delivered{kShards};
+
+  RingAtBound(unsigned threads, TimePoint bound) {
+    for (std::size_t i = 0; i < kShards; ++i) {
+      sims.push_back(std::make_unique<Simulator>());
+      engine.add_shard(*sims.back());
+    }
+    std::vector<HandoffChannel*> next;
+    for (std::size_t i = 0; i < kShards; ++i)
+      next.push_back(&engine.link(i, (i + 1) % kShards, 10_us));
+    engine.set_threads(threads);
+    for (std::size_t i = 0; i < kShards; ++i) {
+      Simulator& src = *sims[i];
+      const std::size_t to = (i + 1) % kShards;
+      // Busy work before the bound so several epochs run.
+      for (int e = 1; e <= 40; ++e)
+        src.schedule_at(bound - Duration::microseconds(e), [] {});
+      src.schedule_at(bound, [this, &src, ch = next[i], to] {
+        ch->post(src.now(), [this, to] {
+          delivered[to].push_back(sims[to]->now().ns());
+        });
+      });
+    }
+  }
+
+  [[nodiscard]] std::vector<std::uint64_t> injected() const {
+    std::vector<std::uint64_t> v;
+    for (const auto& s : sims) v.push_back(s->stats().injected);
+    return v;
+  }
+};
+
+TEST(ShardEngine, HandoffPostedAtTheRunBoundFiresInTheNextRunUntil) {
+  const TimePoint bound = at_ns(100'000);
+  for (const unsigned threads : {1u, 2u, 3u, 4u}) {
+    RingAtBound ring{threads, bound};
+    ring.engine.run_until(bound);
+    // Posted at exactly the bound: nothing fired yet, but every handoff
+    // is already in its destination kernel, for every thread count.
+    for (std::size_t s = 0; s < RingAtBound::kShards; ++s) {
+      EXPECT_TRUE(ring.delivered[s].empty()) << threads << " threads";
+      EXPECT_EQ(ring.sims[s]->now(), bound);
+      EXPECT_EQ(ring.sims[s]->peek_next_time(), bound + 10_us);
+    }
+    EXPECT_EQ(ring.injected(),
+              std::vector<std::uint64_t>(RingAtBound::kShards, 1))
+        << threads << " threads";
+    ring.engine.run_until(bound + 20_us);
+    for (std::size_t s = 0; s < RingAtBound::kShards; ++s)
+      EXPECT_EQ(ring.delivered[s],
+                std::vector<std::int64_t>{(bound + 10_us).ns()})
+          << threads << " threads, shard " << s;
+    EXPECT_EQ(ring.injected(),
+              std::vector<std::uint64_t>(RingAtBound::kShards, 1))
+        << threads << " threads";
+    EXPECT_EQ(ring.engine.stats().handoffs, RingAtBound::kShards);
+  }
+}
+
+TEST(ShardEngine, LinkAfterRunUntilRebuildsReachAndKeepsBufferedHandoffs) {
+  for (const unsigned threads : {1u, 2u, 3u}) {
+    Simulator a;
+    Simulator b;
+    Simulator c;
+    ShardEngine engine;
+    engine.add_shard(a);
+    engine.add_shard(b);
+    HandoffChannel& ab = engine.link(0, 1, 10_us);
+    engine.set_threads(threads);
+    for (int i = 0; i < 100; ++i) a.schedule_at(at_ns(i * 1'000), [] {});
+    engine.run_until(at_ns(50'000));
+    EXPECT_EQ(engine.reach(1, 0).ns(), (10_us).ns());
+    EXPECT_EQ(engine.reach(0, 1), Duration::max());
+
+    // A handoff committed between calls waits in the batch; a shard and
+    // links added now must neither drop it nor leave the table stale.
+    std::vector<std::string> log;
+    ab.post(a.now(), [&] { log.push_back("b@" + std::to_string(b.now().ns())); });
+    engine.add_shard(c);
+    HandoffChannel& bc = engine.link(1, 2, 5_us);
+    engine.link(2, 0, 7_us);
+    EXPECT_EQ(engine.reach(2, 0).ns(), (15_us).ns());
+    EXPECT_EQ(engine.reach(0, 1).ns(), (12_us).ns());
+    EXPECT_EQ(engine.reach(0, 0).ns(), (22_us).ns());
+
+    // The delivery on b relays over the new link; c must not run past it.
+    ab.post(a.now(), [&] {
+      log.push_back("b2@" + std::to_string(b.now().ns()));
+      bc.post(b.now(),
+              [&] { log.push_back("c@" + std::to_string(c.now().ns())); });
+    });
+    for (int i = 0; i < 100; ++i) c.schedule_at(at_ns(50'000 + i * 500), [] {});
+    engine.run_until(at_ns(200'000));
+    EXPECT_EQ(log, (std::vector<std::string>{"b@60000", "b2@60000", "c@65000"}))
+        << threads << " threads";
+    EXPECT_EQ(engine.stats().handoffs, 3u) << threads << " threads";
+    EXPECT_EQ(c.now().ns(), 200'000);
+  }
 }
 
 }  // namespace

@@ -7,10 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -195,6 +197,122 @@ TEST(SimulatorDifferential, HeavyEqualTimestampBatchesKeepFifoOrder) {
   for (std::uint64_t seed : {3ULL, 99ULL}) {
     EXPECT_EQ(equal_timestamp_batch<ReferenceKernel>(seed),
               equal_timestamp_batch<Simulator>(seed));
+  }
+}
+
+TEST(SimulatorDifferential, RegisterEntryCancelledAndDisplacedAtEqualTimestamps) {
+  // The earliest-event register beside the heap: equal-timestamp pushes
+  // that order earlier (the local band before the injected one, a lower
+  // channel before a higher) displace its occupant; a cancelled occupant
+  // stays counted until it is pruned, exactly as a heap entry would.
+  Simulator sim;
+  std::vector<std::string> log;
+  const auto tag = [&](const char* name) {
+    return [&log, &sim, name] {
+      log.push_back(std::string{name} + "@" + std::to_string(sim.now().ns()));
+    };
+  };
+  const TimePoint t = TimePoint::from_ns(100);
+  sim.schedule_injected(t, /*channel=*/2, /*seq=*/0, tag("inj2"));
+  sim.schedule_injected(t, /*channel=*/1, /*seq=*/0, tag("inj1"));
+  Simulator::TimerHandle h = sim.schedule_at(t, tag("cancelled"));
+  EXPECT_EQ(sim.heap_entries(), 3u);
+  sim.cancel(h);
+  EXPECT_EQ(sim.pending(), 2u);
+  EXPECT_EQ(sim.heap_entries(), 3u);
+  // Same timestamp, later sequence than the cancelled occupant: the heap.
+  sim.schedule_at(t, tag("local"));
+  // An earlier timestamp displaces the cancelled occupant into the heap.
+  sim.schedule_at(TimePoint::from_ns(50), tag("early"));
+  EXPECT_EQ(sim.heap_entries(), 5u);
+  EXPECT_EQ(sim.peek_next_time().ns(), 50);
+  // Firing "early" leaves the cancelled entry in front; looking for the
+  // next event prunes it, as it would at the heap's top.
+  sim.run_until(TimePoint::from_ns(60));
+  EXPECT_EQ(sim.heap_entries(), 3u);
+  EXPECT_EQ(sim.peek_next_time(), t);
+  // A local event at the register's timestamp, scheduled from inside a
+  // firing callback, runs before the injected band.
+  sim.schedule_at(t, [&] {
+    tag("local2")();
+    sim.schedule_at(t, tag("nested"));
+  });
+  sim.run_until(t);
+  EXPECT_EQ(log, (std::vector<std::string>{"early@50", "local@100",
+                                           "local2@100", "nested@100",
+                                           "inj1@100", "inj2@100"}));
+  EXPECT_EQ(sim.heap_entries(), 0u);
+  EXPECT_EQ(sim.pending(), 0u);
+}
+
+/// Local and injected events at a handful of timestamps, with cancels,
+/// against a linear-scan model of the documented total order: time, then
+/// every local event by sequence, then injected events by (channel, seq).
+TEST(SimulatorDifferential, MixedLanesAtFewTimestampsMatchModel) {
+  struct Model {
+    TimePoint at;
+    std::uint64_t key;
+    int label;
+  };
+  for (const std::uint64_t seed : {5ULL, 17ULL, 2024ULL}) {
+    Simulator sim;
+    Rng rng{seed};
+    std::vector<Model> model;
+    std::vector<int> got;
+    std::vector<int> want;
+    std::map<int, Simulator::TimerHandle> handles;
+    std::array<std::uint64_t, 4> chan_seq{};
+    std::uint64_t local_seq = 0;
+    int label = 0;
+    const auto model_step = [&](TimePoint bound) {
+      for (;;) {
+        auto best = model.end();
+        for (auto it = model.begin(); it != model.end(); ++it)
+          if (best == model.end() || it->at < best->at ||
+              (it->at == best->at && it->key < best->key))
+            best = it;
+        if (best == model.end() || best->at > bound) return;
+        want.push_back(best->label);
+        model.erase(best);
+      }
+    };
+    for (int op = 0; op < 2000; ++op) {
+      const auto kind = rng.uniform_int(0, 9);
+      const TimePoint at =
+          sim.now() + Duration::nanoseconds(rng.uniform_int(0, 3) * 1'000);
+      const int l = label++;
+      if (kind < 4) {
+        handles[l] = sim.schedule_at(at, [&got, l] { got.push_back(l); });
+        model.push_back({at, local_seq++, l});
+      } else if (kind < 7) {
+        const auto chan = static_cast<std::uint32_t>(rng.uniform_int(0, 3));
+        const std::uint64_t seq = chan_seq[chan]++;
+        sim.schedule_injected(at, chan, seq, [&got, l] { got.push_back(l); });
+        model.push_back(
+            {at, (std::uint64_t{1} << 62) | std::uint64_t{chan} << 32 | seq, l});
+      } else if (kind < 8 && !handles.empty()) {
+        auto it = handles.begin();
+        std::advance(it, static_cast<long>(rng.uniform_int(
+                             0, static_cast<std::int64_t>(handles.size()) - 1)));
+        const int victim = it->first;
+        sim.cancel(it->second);
+        handles.erase(it);
+        std::erase_if(model, [victim](const Model& m) { return m.label == victim; });
+      } else {
+        const TimePoint bound = sim.now() + Duration::nanoseconds(1'500);
+        sim.run_until(bound);
+        model_step(bound);
+        // Fired handles are inert now; forget them so cancels stay live.
+        std::erase_if(handles, [&](const auto& kv) {
+          return std::find(got.begin(), got.end(), kv.first) != got.end();
+        });
+      }
+      ASSERT_EQ(got, want) << "seed " << seed << " op " << op;
+      ASSERT_EQ(sim.pending(), model.size()) << "seed " << seed << " op " << op;
+    }
+    sim.run();
+    model_step(TimePoint::max());
+    EXPECT_EQ(got, want) << "seed " << seed;
   }
 }
 
