@@ -210,9 +210,7 @@ Outcome run_dual(const Workload& w) {
   for (const StreamSpec& s : w.streams) {
     ctls.push_back(std::make_unique<CanController>(sim, s.node));
     bus.attach(*ctls.back());
-    senders.push_back(
-        std::make_unique<DualPrioritySender>(sim, *ctls.back(),
-                                             DualPrioritySender::Config{}));
+    senders.push_back(std::make_unique<DualPrioritySender>(sim, *ctls.back()));
   }
   for (const Arrival& a : w.arrivals) {
     DualPrioritySender* snd = senders[a.stream].get();

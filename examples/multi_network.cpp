@@ -84,8 +84,8 @@ int main() {
                                 if (remote_updates == 1)
                                   std::printf(
                                       "  [scada] first press status via gateway "
-                                      "(origin tag 0x%02x) at %.3f ms\n",
-                                      e->attributes.origin_network,
+                                      "(remote: %s) at %.3f ms\n",
+                                      e->attributes.remote ? "yes" : "no",
                                       scada.clock().now().ms());
                               }
                             },

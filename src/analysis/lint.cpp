@@ -239,25 +239,23 @@ LintReport lint_calendar(const CalendarImage& image,
   }
 
   // --- C008: differential check against the Calendar admission test -----
-  if (options.cross_check_admission) {
-    Calendar calendar{image.config};
-    for (int i = 0; i < n; ++i) {
-      const ImageSlot& slot = image.slots[static_cast<std::size_t>(i)];
-      bool admitted = calendar.reserve(slot.spec).has_value();
-      if (options.admission_override)
-        if (const auto injected =
-                options.admission_override(static_cast<std::size_t>(i)))
-          admitted = *injected;
-      const bool lint_ok = facts[static_cast<std::size_t>(i)].accepted;
-      if (admitted != lint_ok)
-        report.add(
-            {Rule::kAdmissionDisagreement, Severity::kError, i, -1, slot.line,
-             std::string{"admission test "} +
-                 (admitted ? "accepts" : "rejects") +
-                 " this slot but the linter " +
-                 (lint_ok ? "accepts" : "rejects") +
-                 " it — one of the two implementations is wrong"});
-    }
+  Calendar calendar{image.config};
+  for (int i = 0; i < n; ++i) {
+    const ImageSlot& slot = image.slots[static_cast<std::size_t>(i)];
+    bool admitted = calendar.reserve(slot.spec).has_value();
+    if (options.admission_override)
+      if (const auto injected =
+              options.admission_override(static_cast<std::size_t>(i)))
+        admitted = *injected;
+    const bool lint_ok = facts[static_cast<std::size_t>(i)].accepted;
+    if (admitted != lint_ok)
+      report.add(
+          {Rule::kAdmissionDisagreement, Severity::kError, i, -1, slot.line,
+           std::string{"admission test "} +
+               (admitted ? "accepts" : "rejects") +
+               " this slot but the linter " +
+               (lint_ok ? "accepts" : "rejects") +
+               " it — one of the two implementations is wrong"});
   }
 
   return report;

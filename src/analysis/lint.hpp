@@ -33,9 +33,6 @@ struct LintOptions {
   /// high share is legal — but above this fraction the SRT/NRT classes
   /// are living off reclamation alone, which deserves a warning.
   double warn_reserved_fraction = 0.95;
-  /// Disable the RTEC-C008 admission cross-check (used by the linter's
-  /// own differential tests; leave on everywhere else).
-  bool cross_check_admission = true;
   /// Fault-injection hook for RTEC-C008: when set, overrides the
   /// admission test's verdict for the given slot index (nullopt = use the
   /// real Calendar::reserve). The linter and the admission test agree by

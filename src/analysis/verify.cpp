@@ -197,8 +197,7 @@ std::vector<RouteBound> route_bounds(const TopologyInput& input) {
   return bounds;
 }
 
-std::vector<RouteMiss> route_miss_bounds(const TopologyInput& input,
-                                         const VerifyOptions& options) {
+std::vector<RouteMiss> route_miss_bounds(const TopologyInput& input) {
   const TopologySpec& spec = input.spec;
   const Resolved resolved = resolve(spec);
 
@@ -263,8 +262,7 @@ std::vector<RouteMiss> route_miss_bounds(const TopologyInput& input,
             {static_cast<int>(std::min<double>(share + 1.0, 1e9)), round_bits});
       }
 
-      const ResponseDistribution hop =
-          hop_response_distribution(query, options.prob);
+      const ResponseDistribution hop = hop_response_distribution(query);
       rm.hop_miss.push_back(hop.miss_probability);
       rm.tail_epsilon += hop.tail_epsilon;
     }
@@ -491,12 +489,12 @@ LintReport verify_topology(const TopologyInput& input,
           "positive lookahead (a cross-shard handoff channel with zero "
           "latency stalls every epoch)",
           -1, l->id, -1, l->line);
-    else if (l->latency < options.serial_lookahead_floor)
+    else if (l->latency < kSerialLookaheadFloor)
       add(Rule::kSerialLookahead, Severity::kWarning,
           "forward latency " + ns_text(l->latency.ns()) +
               " bounds the per-link lookahead between segments " +
               std::to_string(l->a) + " and " + std::to_string(l->b) +
-              " below " + ns_text(options.serial_lookahead_floor.ns()) +
+              " below " + ns_text(kSerialLookaheadFloor.ns()) +
               " — their epochs degenerate to near-serial execution (the "
               "rest of the topology is unaffected under per-link horizons)",
           -1, l->id, -1, l->line);
@@ -545,7 +543,7 @@ LintReport verify_topology(const TopologyInput& input,
   // miss probabilities compose by union bound and must stay inside the
   // route's declared miss_target.
   if (options.probabilistic) {
-    for (const RouteMiss& rm : route_miss_bounds(input, options)) {
+    for (const RouteMiss& rm : route_miss_bounds(input)) {
       const RouteSpec& route = spec.routes[rm.route];
       if (!rm.computable || !route.miss_target) continue;
       if (rm.e2e_miss > *route.miss_target) {

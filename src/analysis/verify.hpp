@@ -31,12 +31,6 @@ struct VerifyOptions {
   /// this fraction of the available bandwidth the budget is legal but has
   /// no engineering margin. Errors always fire at > 1.0.
   double warn_utilization = 0.95;
-  /// RTEC-T006: a positive forward latency below this floor still executes
-  /// correctly but bounds the engine's *per-link* lookahead between the
-  /// link's endpoint segments so tightly that their epochs degenerate to
-  /// near-serial execution (under per-link horizons the rest of the
-  /// topology keeps its own, larger horizons).
-  Duration serial_lookahead_floor = Duration::microseconds(10);
   /// Run lint_calendar over every provided per-segment calendar image and
   /// merge its findings (tagged with the segment id). Off = topology rules
   /// only (used by tests that target a single T rule).
@@ -47,10 +41,14 @@ struct VerifyOptions {
   /// (`rtec_verify --prob`) so the default report stays byte-identical
   /// for topologies that carry the new keys.
   bool probabilistic = false;
-  /// Numerical policy of the probabilistic engine (pruning/truncation
-  /// budgets — both surface in the reported tail epsilon).
-  ProbRtaOptions prob;
 };
+
+/// RTEC-T006: a positive forward latency below this floor still executes
+/// correctly but bounds the engine's *per-link* lookahead between the
+/// link's endpoint segments so tightly that their epochs degenerate to
+/// near-serial execution (under per-link horizons the rest of the
+/// topology keeps its own, larger horizons).
+inline constexpr Duration kSerialLookaheadFloor = Duration::microseconds(10);
 
 /// Worst-case end-to-end latency bound of one declared route, composed
 /// hop-by-hop (docs/static_analysis.md derives it):
@@ -92,7 +90,7 @@ struct RouteMiss {
 /// miss_target declarations, so `--prob` can print the numbers even for
 /// routes that promise nothing).
 [[nodiscard]] std::vector<RouteMiss> route_miss_bounds(
-    const TopologyInput& input, const VerifyOptions& options = {});
+    const TopologyInput& input);
 
 /// Runs the whole RTEC-T rule catalog (plus, by default, the per-segment
 /// calendar lint) over a topology. Findings carry the declared segment id,

@@ -1,14 +1,10 @@
 #include "baselines/dual_priority.hpp"
 
-#include <cassert>
-
 namespace rtec {
 
 DualPrioritySender::DualPrioritySender(Simulator& sim,
-                                       CanController& controller, Config cfg)
-    : sim_{sim}, controller_{controller}, cfg_{cfg} {
-  assert(cfg.high_min < cfg.low_min);
-}
+                                       CanController& controller)
+    : sim_{sim}, controller_{controller} {}
 
 void DualPrioritySender::queue(NodeId node, Etag etag,
                                std::uint8_t static_priority, int dlc,
@@ -16,10 +12,10 @@ void DualPrioritySender::queue(NodeId node, Etag etag,
   const std::uint64_t uid = next_uid_++;
   Pending p;
   p.frame.id = encode_can_id(
-      {static_cast<Priority>(cfg_.low_min + static_priority), node, etag});
+      {static_cast<Priority>(kLowMin + static_priority), node, etag});
   p.frame.dlc = static_cast<std::uint8_t>(dlc);
   p.frame.data.fill(0xAA);  // match StaticPrioritySender's frame length
-  p.high_priority = static_cast<Priority>(cfg_.high_min + static_priority);
+  p.high_priority = static_cast<Priority>(kHighMin + static_priority);
   p.deadline = deadline;
   p.uid = uid;
   pending_.emplace(uid, p);

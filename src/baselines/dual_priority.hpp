@@ -21,15 +21,14 @@ namespace rtec {
 
 class DualPrioritySender {
  public:
-  struct Config {
-    /// High band: [high_min, low_min) — promoted messages live here with
-    /// their static per-stream priority.
-    Priority high_min = kSrtPriorityMin;
-    /// Low band starting priority for unpromoted messages.
-    Priority low_min = 128;
-  };
+  /// High band: [kHighMin, kLowMin) — promoted messages live here with
+  /// their static per-stream priority.
+  static constexpr Priority kHighMin = kSrtPriorityMin;
+  /// Low band starting priority for unpromoted messages.
+  static constexpr Priority kLowMin = 128;
+  static_assert(kHighMin < kLowMin);
 
-  DualPrioritySender(Simulator& sim, CanController& controller, Config cfg);
+  DualPrioritySender(Simulator& sim, CanController& controller);
 
   struct Outcome {
     std::uint64_t sent = 0;
@@ -37,8 +36,8 @@ class DualPrioritySender {
     std::uint64_t promotions = 0;
   };
 
-  /// Queues a message: starts at (low_min + static_priority), promoted to
-  /// (high_min + static_priority) at `deadline - promotion_lead`.
+  /// Queues a message: starts at (kLowMin + static_priority), promoted to
+  /// (kHighMin + static_priority) at `deadline - promotion_lead`.
   void queue(NodeId node, Etag etag, std::uint8_t static_priority, int dlc,
              TimePoint deadline, Duration promotion_lead);
 
@@ -56,7 +55,6 @@ class DualPrioritySender {
 
   Simulator& sim_;
   CanController& controller_;
-  Config cfg_;
   std::map<std::uint64_t, Pending> pending_;  // FIFO by uid
   bool in_flight_ = false;
   std::uint64_t in_flight_uid_ = 0;

@@ -33,7 +33,7 @@ void FttMaster::run_cycle() {
   // FTT master also packs by window capacity; our scenarios keep the sync
   // window feasible by construction.)
   CanFrame tm;
-  tm.id = cfg_.tm_id;
+  tm.id = kFttTmId;
   tm.dlc = 8;
   tm.data.fill(0xff);
   std::size_t cursor = 0;
@@ -65,7 +65,7 @@ void FttSlave::queue_async(const CanFrame& frame) {
 }
 
 void FttSlave::on_frame(const CanFrame& frame, TimePoint now) {
-  if (frame.id != cfg_.tm_id) return;
+  if (frame.id != kFttTmId) return;
   ++polls_seen_;
 
   // Synchronous phase: transmit every one of our polled streams. All

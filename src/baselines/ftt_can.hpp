@@ -47,9 +47,10 @@ struct FttConfig {
   /// window).
   Duration async_window_offset = Duration::milliseconds(2);
   BusConfig bus{};
-  /// CAN id of the trigger message (most dominant id in the system).
-  std::uint32_t tm_id = 0x1;
 };
+
+/// CAN id of the trigger message (most dominant id in the system).
+inline constexpr std::uint32_t kFttTmId = 0x1;
 
 /// The scheduling master: plans and broadcasts the TM each EC.
 class FttMaster {

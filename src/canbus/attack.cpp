@@ -41,8 +41,7 @@ void SpoofingAttack::fire(const AttackContext& ctx, TimePoint slot) {
       rng_.uniform_int(0, std::max<std::int64_t>(cfg_.jitter.ns(), 0));
   CanFrame f;
   f.id = cfg_.id;
-  f.dlc = cfg_.dlc;
-  f.data = cfg_.data;
+  f.dlc = kDlc;
   ctx.sim->schedule_at(slot + Duration::nanoseconds(noise),
                        [this, ctx, f] { (void)inject(ctx, f); });
   const TimePoint next = slot + cfg_.period;
@@ -54,8 +53,6 @@ void SpoofingAttack::fire(const AttackContext& ctx, TimePoint slot) {
 void FuzzingAttack::arm(const AttackContext& ctx) {
   assert(ctx.sim != nullptr && ctx.attacker != nullptr);
   assert(cfg_.mean_gap > Duration::zero());
-  assert(cfg_.priority_min <= cfg_.priority_max);
-  assert(cfg_.etag_min <= cfg_.etag_max && cfg_.etag_max <= kMaxEtag);
   rng_ = Rng{ctx.seed};
   ctx.sim->schedule_at(cfg_.from, [this, ctx] { fire(ctx); });
 }
@@ -64,12 +61,10 @@ void FuzzingAttack::fire(const AttackContext& ctx) {
   if (ctx.sim->now() >= cfg_.to) return;
   CanIdFields fields;
   fields.priority = static_cast<Priority>(
-      rng_.uniform_int(cfg_.priority_min, cfg_.priority_max));
-  fields.tx_node = cfg_.forge_tx_node
-                       ? static_cast<NodeId>(rng_.uniform_int(0, kMaxNodeId))
-                       : ctx.attacker->node();
-  fields.etag =
-      static_cast<Etag>(rng_.uniform_int(cfg_.etag_min, cfg_.etag_max));
+      rng_.uniform_int(kSrtPriorityMin, kNrtPriorityMax));
+  fields.tx_node = static_cast<NodeId>(rng_.uniform_int(0, kMaxNodeId));
+  fields.etag = static_cast<Etag>(
+      rng_.uniform_int(kFirstApplicationEtag, kMaxEtag));
   CanFrame f;
   f.id = encode_can_id(fields);
   f.dlc = static_cast<std::uint8_t>(rng_.uniform_int(0, 8));
@@ -90,13 +85,13 @@ void ReplayAttack::arm(const AttackContext& ctx) {
   assert(cfg_.record_from <= cfg_.record_to);
   assert(cfg_.replay_at >= cfg_.record_to &&
          "replay must start after the recording window closes");
-  tape_.reserve(std::min<std::size_t>(cfg_.max_frames, 1024));
+  tape_.reserve(kMaxFrames);
   const NodeId self = ctx.attacker->node();
   ctx.bus->add_observer([this, self](const CanBus::FrameEvent& ev) {
     if (!ev.success || ev.sender == self) return;
     if (ev.end < cfg_.record_from || ev.end >= cfg_.record_to) return;
     if ((ev.frame.id & cfg_.id_mask) != (cfg_.id_match & cfg_.id_mask)) return;
-    if (tape_.size() >= cfg_.max_frames) return;
+    if (tape_.size() >= kMaxFrames) return;
     tape_.push_back({ev.frame, ev.end - cfg_.record_from});
   });
   // The tape is complete when replay_at arrives (replay_at >= record_to).

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -96,13 +95,14 @@ class AttackModel {
 /// forged identifier — typically the exact identifier of a legitimate
 /// periodic stream, so the victim id's observed rate doubles and its
 /// inter-arrival process collapses. With `period` well below the victim's
-/// the same model is the study's "injection" (flooding) attack.
+/// the same model is the study's "injection" (flooding) attack. Every
+/// forged frame carries `kDlc` zero bytes.
 class SpoofingAttack final : public AttackModel {
  public:
+  static constexpr std::uint8_t kDlc = 8;
+
   struct Config {
     std::uint32_t id = 0;  ///< full forged 29-bit identifier
-    std::uint8_t dlc = 8;
-    std::array<std::uint8_t, 8> data{};
     TimePoint from;
     TimePoint to;
     Duration period = Duration::milliseconds(10);
@@ -124,9 +124,10 @@ class SpoofingAttack final : public AttackModel {
 };
 
 /// Fuzzing / random injection: a Poisson stream of frames with seeded
-/// random identifiers and payloads. Identifier fields are drawn inside the
-/// configured bands; the defaults avoid the infrastructure etags (clock
-/// sync, binding protocol) so the attack stresses timing, not parsers.
+/// random identifiers and payloads. Every identifier field is drawn: any
+/// SRT or NRT priority (never HRT's 0), any TxNode, and any application
+/// etag — the infrastructure etags (clock sync, binding protocol) stay
+/// off-limits so the attack stresses timing, not parsers.
 class FuzzingAttack final : public AttackModel {
  public:
   struct Config {
@@ -134,11 +135,6 @@ class FuzzingAttack final : public AttackModel {
     TimePoint to;
     /// Mean gap of the exponential inter-injection time.
     Duration mean_gap = Duration::milliseconds(5);
-    std::uint8_t priority_min = 1;
-    std::uint8_t priority_max = 255;
-    std::uint16_t etag_min = 4;       ///< kFirstApplicationEtag
-    std::uint16_t etag_max = 0x3fff;  ///< kMaxEtag
-    bool forge_tx_node = true;  ///< random TxNode field vs attacker's own
   };
 
   explicit FuzzingAttack(Config cfg) : cfg_{cfg} {}
@@ -156,9 +152,11 @@ class FuzzingAttack final : public AttackModel {
 /// Replay: records successful frames matching an (match, mask) identifier
 /// filter during [record_from, record_to), then re-submits the recorded
 /// sequence starting at replay_at with the original relative spacing.
-/// Recording is bounded by `max_frames`.
+/// Recording is bounded by `kMaxFrames`.
 class ReplayAttack final : public AttackModel {
  public:
+  static constexpr std::size_t kMaxFrames = 256;
+
   struct Config {
     TimePoint record_from;
     TimePoint record_to;
@@ -166,7 +164,6 @@ class ReplayAttack final : public AttackModel {
     TimePoint replay_at;
     std::uint32_t id_match = 0;  ///< accept when (id & mask) == (match & mask)
     std::uint32_t id_mask = 0;   ///< 0 = record everything
-    std::size_t max_frames = 256;
   };
 
   explicit ReplayAttack(Config cfg) : cfg_{cfg} {}
@@ -174,7 +171,7 @@ class ReplayAttack final : public AttackModel {
   [[nodiscard]] const char* name() const override { return "replay"; }
   void arm(const AttackContext& ctx) override;
 
-  /// Frames captured during the recording window (bounded by max_frames).
+  /// Frames captured during the recording window (bounded by kMaxFrames).
   [[nodiscard]] std::size_t frames_recorded() const { return tape_.size(); }
 
  private:

@@ -36,11 +36,6 @@ void CanBus::attach(CanController& c) {
   }
 }
 
-void CanBus::set_profiler(SpanProfiler* p, const std::string& prefix) {
-  span_ok_ = p != nullptr ? p->slot(prefix + ".occupancy_ok") : nullptr;
-  span_error_ = p != nullptr ? p->slot(prefix + ".occupancy_error") : nullptr;
-}
-
 double CanBus::utilization() const {
   const Duration elapsed = sim_.now() - TimePoint::origin();
   if (elapsed <= Duration::zero()) return 0.0;
@@ -168,11 +163,9 @@ void CanBus::finish_transmission(CanController* sender,
   busy_time_ += occupied;
   if (success) {
     ++frames_ok_;
-    if (span_ok_ != nullptr) span_ok_->record(occupied.ns());
   } else {
     ++frames_error_;
     error_time_ += occupied;
-    if (span_error_ != nullptr) span_error_->record(occupied.ns());
   }
 
   // Transmitters learn the attempt outcome first (their ACK/error

@@ -4,7 +4,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <string>
 #include <vector>
 
 #include "canbus/can_types.hpp"
@@ -12,7 +11,6 @@
 #include "canbus/fault.hpp"
 #include "canbus/frame.hpp"
 #include "sim/simulator.hpp"
-#include "util/profile.hpp"
 #include "util/time_types.hpp"
 
 /// \file bus.hpp
@@ -94,13 +92,6 @@ class CanBus {
 
   void add_observer(Observer o) { observers_.push_back(std::move(o)); }
 
-  /// Enables simulated-time span profiling of bus occupancies (nullptr
-  /// disables; disabled hooks cost one branch per finished transmission).
-  /// Records "<prefix>.occupancy_ok" / "<prefix>.occupancy_error": the
-  /// wire time of each successful / corrupted attempt, arbitration-win to
-  /// end-of-frame (resp. error delimiter).
-  void set_profiler(SpanProfiler* p, const std::string& prefix = "bus");
-
   [[nodiscard]] const BusConfig& config() const { return cfg_; }
   [[nodiscard]] Simulator& simulator() { return sim_; }
   [[nodiscard]] bool idle() const { return state_ == State::kIdle; }
@@ -179,8 +170,6 @@ class CanBus {
   Duration error_time_ = Duration::zero();
   std::uint64_t frames_ok_ = 0;
   std::uint64_t frames_error_ = 0;
-  SpanStats* span_ok_ = nullptr;   ///< nullptr: profiling disabled
-  SpanStats* span_error_ = nullptr;
 };
 
 }  // namespace rtec

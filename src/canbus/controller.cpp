@@ -8,9 +8,8 @@
 namespace rtec {
 
 CanController::CanController(Simulator& sim, NodeId node, Config cfg)
-    : sim_{sim}, node_{node}, cfg_{cfg}, mailboxes_(cfg.tx_mailboxes) {
+    : sim_{sim}, node_{node}, cfg_{cfg} {
   assert(node <= kMaxNodeId);
-  assert(cfg.tx_mailboxes > 0);
 }
 
 void CanController::add_acceptance_filter(AcceptanceFilter f) {
@@ -162,7 +161,7 @@ void CanController::on_tx_completed(MailboxId mb, bool success, TimePoint now) {
   }
 
   tec_ += 8;
-  if (tec_ >= cfg_.bus_off_threshold) {
+  if (tec_ >= kBusOffThreshold) {
     enter_bus_off(now);
     return;
   }

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -45,10 +46,11 @@ enum class TxError : std::uint8_t {
 
 class CanController {
  public:
+  static constexpr std::size_t kTxMailboxes = 4;
+  /// TEC threshold for bus-off (ISO 11898 value).
+  static constexpr int kBusOffThreshold = 256;
+
   struct Config {
-    std::size_t tx_mailboxes = 4;
-    /// TEC threshold for bus-off (ISO 11898 value).
-    int bus_off_threshold = 256;
     /// When positive, the controller re-joins the bus this long after
     /// entering bus-off (models the 128 x 11-recessive-bit recovery
     /// sequence; ~1.41 ms at 1 Mbit/s). Zero disables auto-recovery (the
@@ -167,7 +169,7 @@ class CanController {
   NodeId node_;
   Config cfg_;
   CanBus* bus_ = nullptr;  // set by CanBus::attach
-  std::vector<Mailbox> mailboxes_;
+  std::array<Mailbox, kTxMailboxes> mailboxes_{};
   /// Memoised arbitration_candidate() result. The bus polls only its
   /// contenders, but most of them lost the last arbitration and have not
   /// touched their mailboxes since, so their poll is one branch instead of

@@ -30,8 +30,7 @@ void BindingAgent::on_frame(const CanFrame& frame, TimePoint) {
   (void)ctx_.controller.submit(reply, TxMode::kAutoRetransmit);
 }
 
-BindingClient::BindingClient(const NodeContext& ctx, Config cfg)
-    : ctx_{ctx}, cfg_{cfg} {
+BindingClient::BindingClient(const NodeContext& ctx) : ctx_{ctx} {
   ctx_.controller.add_rx_listener(
       [this](const CanFrame& frame, TimePoint now) { on_frame(frame, now); });
 }
@@ -72,13 +71,13 @@ void BindingClient::send_request() {
   ++sent_;
   (void)ctx_.controller.submit(req, TxMode::kAutoRetransmit);
   timeout_timer_ =
-      ctx_.sim.schedule_after(cfg_.timeout, [this] { on_timeout(); });
+      ctx_.sim.schedule_after(kTimeout, [this] { on_timeout(); });
 }
 
 void BindingClient::on_timeout() {
   if (!active_) return;
   ++timeouts_;
-  if (active_->attempts >= cfg_.max_attempts) {
+  if (active_->attempts >= kMaxAttempts) {
     finish(Unexpected{ChannelError::kBindingFailed});
     return;
   }

@@ -57,14 +57,12 @@ class BindingClient {
  public:
   using Callback = std::function<void(Expected<Etag, ChannelError>)>;
 
-  struct Config {
-    Duration timeout = Duration::milliseconds(50);
-    int max_attempts = 3;
-  };
+  /// A request unanswered for kTimeout is resent, up to kMaxAttempts
+  /// requests in total.
+  static constexpr Duration kTimeout = Duration::milliseconds(50);
+  static constexpr int kMaxAttempts = 3;
 
-  explicit BindingClient(const NodeContext& ctx)
-      : BindingClient(ctx, Config{}) {}
-  BindingClient(const NodeContext& ctx, Config cfg);
+  explicit BindingClient(const NodeContext& ctx);
 
   /// Resolves `subject`, invoking `cb` with the etag (from cache
   /// immediately, or after the request/reply exchange). Concurrent
@@ -91,7 +89,6 @@ class BindingClient {
   void finish(Expected<Etag, ChannelError> result);
 
   NodeContext ctx_;
-  Config cfg_;
   std::map<Subject, Etag> cache_;
   std::deque<PendingRequest> queue_;
   std::optional<PendingRequest> active_;

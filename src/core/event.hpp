@@ -29,9 +29,10 @@ struct EventAttributes {
   std::uint8_t mode = 0;
   /// Set by the middleware at publish time.
   TimePoint timestamp;
-  /// Network segment of origin; set by the middleware / gateway, used by
-  /// the LocalOnly subscriber filter.
-  std::uint8_t origin_network = 0;
+  /// Set by the middleware on delivery: the frame came from a gateway node,
+  /// so the event was forwarded from another segment (what the LocalOnly
+  /// subscriber filter drops).
+  bool remote = false;
 };
 
 struct Event {

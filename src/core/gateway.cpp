@@ -18,33 +18,8 @@ Expected<void, ChannelError> Gateway::bridge_srt(Subject subject,
                                                  Duration fwd_deadline,
                                                  Duration fwd_expiration,
                                                  bool forward_transit) {
-  const auto ab = make_srt_half(a_, b_, *link_.a_to_b, subject, fwd_deadline,
-                                fwd_expiration, forward_transit, dir_a_to_b_);
-  if (!ab) return ab;
-  return make_srt_half(b_, a_, *link_.b_to_a, subject, fwd_deadline,
-                       fwd_expiration, forward_transit, dir_b_to_a_);
-}
-
-Expected<void, ChannelError> Gateway::make_srt_half(
-    Node& from, Node& to, HandoffChannel& chan, Subject subject,
-    Duration fwd_deadline, Duration fwd_expiration, bool forward_transit,
-    DirectionCounters& dir) {
-  auto bridge = std::make_unique<SrtBridge>();
-  bridge->sub = std::make_unique<Srtec>(from.middleware());
-  bridge->pub = std::make_unique<Srtec>(to.middleware());
-
-  // The exception handler runs in the publish (destination) segment's
-  // context — the same single-writer context as dir's success counter.
-  const auto announced = bridge->pub->announce(
-      subject,
-      AttributeList{attr::Deadline{fwd_deadline},
-                    attr::Expiration{fwd_expiration}},
-      [&dir](const ExceptionInfo&) { ++dir.failures; });
-  if (!announced) return announced;
-
-  Srtec* sub = bridge->sub.get();
-  Srtec* pub = bridge->pub.get();
-  Simulator* from_sim = &from.middleware().context().sim;
+  const AttributeList pub_attrs{attr::Deadline{fwd_deadline},
+                                attr::Expiration{fwd_expiration}};
   // LocalOnly on the gateway's own subscription pins the subject to a
   // single hop: remote-origin traffic (events another gateway forwarded
   // into this segment) is ignored, which keeps the design loop-free for
@@ -53,14 +28,53 @@ Expected<void, ChannelError> Gateway::make_srt_half(
   // cannot echo back regardless, because a CAN sender never receives its
   // own frames; only a *cycle* of bridges could loop, and callers enable
   // transit only on statically verified (acyclic, RTEC-T002) topologies.
-  //
+  AttributeList sub_attrs;
+  if (!forward_transit) sub_attrs.add(attr::LocalOnly{});
+  const auto ab = make_half(a_, b_, *link_.a_to_b, subject, pub_attrs,
+                            sub_attrs, dir_a_to_b_, srt_bridges_);
+  if (!ab) return ab;
+  return make_half(b_, a_, *link_.b_to_a, subject, pub_attrs, sub_attrs,
+                   dir_b_to_a_, srt_bridges_);
+}
+
+Expected<void, ChannelError> Gateway::bridge_nrt(Subject subject,
+                                                 bool fragmented,
+                                                 Priority priority) {
+  AttributeList pub_attrs{attr::FixedPriority{priority}};
+  AttributeList sub_attrs{attr::LocalOnly{}};
+  if (fragmented) {
+    pub_attrs.add(attr::Fragmentation{true});
+    sub_attrs.add(attr::Fragmentation{true});
+  }
+  const auto ab = make_half(a_, b_, *link_.a_to_b, subject, pub_attrs,
+                            sub_attrs, dir_a_to_b_, nrt_bridges_);
+  if (!ab) return ab;
+  return make_half(b_, a_, *link_.b_to_a, subject, pub_attrs, sub_attrs,
+                   dir_b_to_a_, nrt_bridges_);
+}
+
+template <typename Channel>
+Expected<void, ChannelError> Gateway::make_half(
+    Node& from, Node& to, HandoffChannel& chan, Subject subject,
+    const AttributeList& pub_attrs, const AttributeList& sub_attrs,
+    DirectionCounters& dir, Bridges<Channel>& bridges) {
+  Bridge<Channel> bridge{std::make_unique<Channel>(from.middleware()),
+                         std::make_unique<Channel>(to.middleware())};
+  Channel* sub = bridge.sub.get();
+  Channel* pub = bridge.pub.get();
+
+  // The exception handler runs in the publish (destination) segment's
+  // context — the same single-writer context as dir's success counter.
+  const auto announced = pub->announce(
+      subject, pub_attrs, [&dir](const ExceptionInfo&) { ++dir.failures; });
+  if (!announced) return announced;
+
+  Simulator* from_sim = &from.middleware().context().sim;
   // Draining the delivery queue in one pass keeps FIFO order: each event
   // gets the channel's next sequence number and the same deterministic
   // release stamp (delivery time + forward latency), so bursts delivered
   // in one slot are re-published on the far side in arrival order.
-  AttributeList sub_attrs;
-  if (!forward_transit) sub_attrs.add(attr::LocalOnly{});
-  const auto subscribed = bridge->sub->subscribe(
+  const auto subscribed = sub->subscribe(
       subject, sub_attrs,
       [sub, pub, &chan, &dir, from_sim] {
         while (auto event = sub->getEvent()) {
@@ -82,58 +96,7 @@ Expected<void, ChannelError> Gateway::make_srt_half(
       nullptr);
   if (!subscribed) return subscribed;
 
-  srt_bridges_.push_back(std::move(bridge));
-  return {};
-}
-
-Expected<void, ChannelError> Gateway::bridge_nrt(Subject subject,
-                                                 bool fragmented,
-                                                 Priority priority) {
-  const auto ab = make_nrt_half(a_, b_, *link_.a_to_b, subject, fragmented,
-                                priority, dir_a_to_b_);
-  if (!ab) return ab;
-  return make_nrt_half(b_, a_, *link_.b_to_a, subject, fragmented, priority,
-                       dir_b_to_a_);
-}
-
-Expected<void, ChannelError> Gateway::make_nrt_half(
-    Node& from, Node& to, HandoffChannel& chan, Subject subject,
-    bool fragmented, Priority priority, DirectionCounters& dir) {
-  auto bridge = std::make_unique<NrtBridge>();
-  bridge->sub = std::make_unique<Nrtec>(from.middleware());
-  bridge->pub = std::make_unique<Nrtec>(to.middleware());
-
-  AttributeList attrs{attr::FixedPriority{priority}};
-  if (fragmented) attrs.add(attr::Fragmentation{true});
-  const auto announced = bridge->pub->announce(
-      subject, attrs, [&dir](const ExceptionInfo&) { ++dir.failures; });
-  if (!announced) return announced;
-
-  Nrtec* sub = bridge->sub.get();
-  Nrtec* pub = bridge->pub.get();
-  Simulator* from_sim = &from.middleware().context().sim;
-  AttributeList sub_attrs{attr::LocalOnly{}};
-  if (fragmented) sub_attrs.add(attr::Fragmentation{true});
-  const auto subscribed = bridge->sub->subscribe(
-      subject, sub_attrs,
-      [sub, pub, &chan, &dir, from_sim] {
-        while (auto event = sub->getEvent()) {
-          chan.post(from_sim->now(),
-                    [pub, &dir, content = std::move(event->content)]() mutable {
-                      Event fwd;
-                      fwd.content = std::move(content);
-                      if (pub->publish(std::move(fwd))) {
-                        ++dir.forwarded;
-                      } else {
-                        ++dir.failures;
-                      }
-                    });
-        }
-      },
-      nullptr);
-  if (!subscribed) return subscribed;
-
-  nrt_bridges_.push_back(std::move(bridge));
+  bridges.push_back(std::move(bridge));
   return {};
 }
 

@@ -118,33 +118,31 @@ class Gateway {
     std::uint64_t forwarded = 0;
     std::uint64_t failures = 0;
   };
-  struct SrtBridge {
-    std::unique_ptr<Srtec> sub;
-    std::unique_ptr<Srtec> pub;
+  template <typename Channel>
+  struct Bridge {
+    std::unique_ptr<Channel> sub;
+    std::unique_ptr<Channel> pub;
   };
-  struct NrtBridge {
-    std::unique_ptr<Nrtec> sub;
-    std::unique_ptr<Nrtec> pub;
-  };
+  template <typename Channel>
+  using Bridges = std::vector<Bridge<Channel>>;
 
-  Expected<void, ChannelError> make_srt_half(Node& from, Node& to,
-                                             HandoffChannel& chan,
-                                             Subject subject,
-                                             Duration fwd_deadline,
-                                             Duration fwd_expiration,
-                                             bool forward_transit,
-                                             DirectionCounters& dir);
-  Expected<void, ChannelError> make_nrt_half(Node& from, Node& to,
-                                             HandoffChannel& chan,
-                                             Subject subject, bool fragmented,
-                                             Priority priority,
-                                             DirectionCounters& dir);
+  /// One direction of a bridge: announces `subject` on `to` with
+  /// `pub_attrs`, subscribes on `from` with `sub_attrs`, and forwards each
+  /// delivery through `chan`.
+  template <typename Channel>
+  Expected<void, ChannelError> make_half(Node& from, Node& to,
+                                         HandoffChannel& chan,
+                                         Subject subject,
+                                         const AttributeList& pub_attrs,
+                                         const AttributeList& sub_attrs,
+                                         DirectionCounters& dir,
+                                         Bridges<Channel>& bridges);
 
   Node& a_;
   Node& b_;
   GatewayLink link_;
-  std::vector<std::unique_ptr<SrtBridge>> srt_bridges_;
-  std::vector<std::unique_ptr<NrtBridge>> nrt_bridges_;
+  Bridges<Srtec> srt_bridges_;
+  Bridges<Nrtec> nrt_bridges_;
   DirectionCounters dir_a_to_b_;
   DirectionCounters dir_b_to_a_;
 };

@@ -78,7 +78,6 @@ Expected<void, ChannelError> HrtEngine::cancel_publication(Etag etag) {
     return Unexpected{ChannelError::kNotAnnounced};
   for (auto& t : it->second.ready_timers) ctx_.sim.cancel(t);
   ctx_.sim.cancel(it->second.deadline_timer);
-  in_flight_events_.erase(etag);
   publications_.erase(it);
   return {};
 }
@@ -117,14 +116,12 @@ void HrtEngine::arm_slot(Publication& pub, std::size_t slot_pos,
 void HrtEngine::on_slot_ready(Publication& pub, std::size_t slot_pos,
                               Calendar::Instance inst) {
   if (pub.next_event) {
-    Event event = std::move(*pub.next_event);
+    pub.in_flight = std::move(*pub.next_event);
     pub.next_event.reset();
-    pub.instance_active = true;
     pub.instance_sent = false;
     pub.attempts = 0;
     pub.current = inst;
-    in_flight_events_[pub.etag] = event;
-    submit_attempt(pub, event);
+    submit_attempt(pub);
 
     const Etag etag = pub.etag;
     pub.deadline_timer =
@@ -132,11 +129,10 @@ void HrtEngine::on_slot_ready(Publication& pub, std::size_t slot_pos,
           const auto it = publications_.find(etag);
           if (it == publications_.end()) return;
           Publication& p = it->second;
-          if (p.instance_active && !p.instance_sent) {
+          if (p.in_flight && !p.instance_sent) {
             // The reserved window elapsed without a successful attempt:
             // the fault assumption was violated.
-            p.instance_active = false;
-            in_flight_events_.erase(etag);
+            p.in_flight.reset();
             ++counters_.send_failed;
             raise(p, ChannelError::kTransmissionFailed);
           }
@@ -152,7 +148,8 @@ void HrtEngine::on_slot_ready(Publication& pub, std::size_t slot_pos,
   arm_slot(pub, slot_pos, inst.ready + 1_ns);
 }
 
-void HrtEngine::submit_attempt(Publication& pub, const Event& event) {
+void HrtEngine::submit_attempt(Publication& pub) {
+  const Event& event = *pub.in_flight;
   CanFrame frame;
   frame.id = encode_can_id({kHrtPriority, ctx_.node, pub.etag});
   frame.extended = true;
@@ -166,8 +163,7 @@ void HrtEngine::submit_attempt(Publication& pub, const Event& event) {
       [this, etag](CanController::MailboxId, const CanFrame&, bool success,
                    TimePoint) { on_tx_result(etag, success); });
   if (!result) {
-    pub.instance_active = false;
-    in_flight_events_.erase(etag);
+    pub.in_flight.reset();
     ++counters_.send_failed;
     raise(pub, result.error() == TxError::kBusOff ? ChannelError::kBusOff
                                                   : ChannelError::kTransmissionFailed);
@@ -178,7 +174,7 @@ void HrtEngine::on_tx_result(Etag etag, bool success) {
   const auto it = publications_.find(etag);
   if (it == publications_.end()) return;
   Publication& pub = it->second;
-  if (!pub.instance_active) return;
+  if (!pub.in_flight) return;
 
   if (success) {
     if (!pub.instance_sent) {
@@ -194,54 +190,29 @@ void HrtEngine::on_tx_result(Etag etag, bool success) {
       // CAN's consistency property: every operational node has the frame.
       // Stop here — redundant copies are suppressed and the remaining
       // window is reclaimed by lower-priority traffic (§3.2).
-      pub.instance_active = false;
-      in_flight_events_.erase(etag);
+      pub.in_flight.reset();
       return;
     }
-    // Ablation (attr::AlwaysTransmitCopies): burn the rest of the
-    // reservation like a pure-TDMA scheme would.
-    if (pub.attempts <= pub.omission_degree) {
-      const auto ev = in_flight_events_.find(etag);
-      assert(ev != in_flight_events_.end());
-      submit_attempt(pub, ev->second);
-    } else {
-      pub.instance_active = false;
-      in_flight_events_.erase(etag);
-    }
+  } else if (!pub.instance_sent && pub.attempts > pub.omission_degree) {
+    // More faults than the channel's assumed omission degree.
+    pub.in_flight.reset();
+    ctx_.sim.cancel(pub.deadline_timer);
+    ++counters_.send_failed;
+    Logger::instance().logf(LogLevel::kWarn, ctx_.clock.now(), "hrt",
+                            "etag %u fault assumption violated (%d attempts)",
+                            etag, pub.attempts);
+    raise(pub, ChannelError::kTransmissionFailed);
     return;
   }
 
-  if (pub.instance_sent) {
-    // Ablation mode: a redundant copy after the first success failed —
-    // irrelevant for delivery; keep burning the remaining copies.
-    if (pub.attempts <= pub.omission_degree) {
-      const auto ev = in_flight_events_.find(etag);
-      assert(ev != in_flight_events_.end());
-      submit_attempt(pub, ev->second);
-    } else {
-      pub.instance_active = false;
-      in_flight_events_.erase(etag);
-    }
-    return;
-  }
-
-  if (pub.attempts <= pub.omission_degree) {
-    // Time redundancy: immediate resubmission at priority 0.
-    const auto ev = in_flight_events_.find(etag);
-    assert(ev != in_flight_events_.end());
-    submit_attempt(pub, ev->second);
-    return;
-  }
-
-  // More faults than the channel's assumed omission degree.
-  pub.instance_active = false;
-  ctx_.sim.cancel(pub.deadline_timer);
-  in_flight_events_.erase(etag);
-  ++counters_.send_failed;
-  Logger::instance().logf(LogLevel::kWarn, ctx_.clock.now(), "hrt",
-                          "etag %u fault assumption violated (%d attempts)",
-                          etag, pub.attempts);
-  raise(pub, ChannelError::kTransmissionFailed);
+  // Before the first success a failed attempt is resubmitted at once at
+  // priority 0 (time redundancy). After it, only the ablation
+  // (attr::AlwaysTransmitCopies) gets here: it burns the rest of the
+  // reservation like a pure-TDMA scheme would, whatever each copy's fate.
+  if (pub.attempts <= pub.omission_degree)
+    submit_attempt(pub);
+  else
+    pub.in_flight.reset();
 }
 
 void HrtEngine::raise(const Publication& pub, ChannelError e) {

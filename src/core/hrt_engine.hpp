@@ -114,7 +114,9 @@ class HrtEngine {
     std::optional<Event> next_event;
     // Active instance state (at most one instance of one slot is active at
     // a time per publication: admission guarantees window disjointness).
-    bool instance_active = false;
+    // `in_flight` holds the instance's event while it is active; every
+    // attempt, retry or redundant copy, is built from it.
+    std::optional<Event> in_flight;
     bool instance_sent = false;
     int attempts = 0;
     Calendar::Instance current;
@@ -125,7 +127,7 @@ class HrtEngine {
   void arm_slot(Publication& pub, std::size_t slot_pos, TimePoint local_after);
   void on_slot_ready(Publication& pub, std::size_t slot_pos,
                      Calendar::Instance inst);
-  void submit_attempt(Publication& pub, const Event& event);
+  void submit_attempt(Publication& pub);
   void on_tx_result(Etag etag, bool success);
   void raise(const Publication& pub, ChannelError e);
 
@@ -136,9 +138,6 @@ class HrtEngine {
 
   NodeContext ctx_;
   std::map<Etag, Publication> publications_;
-  // In-flight event bytes per publication (kept out of Publication so the
-  // tx-result callback can validate the etag still exists).
-  std::map<Etag, Event> in_flight_events_;
   std::vector<std::unique_ptr<Subscription>> subscriptions_;
   Counters counters_;
 };

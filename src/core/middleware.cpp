@@ -8,7 +8,7 @@ Middleware::Middleware(const NodeContext& ctx, BindingRegistry& binding,
       binding_{binding},
       cfg_{cfg},
       hrt_{ctx},
-      srt_{ctx, cfg.srt_map, cfg.network_id},
+      srt_{ctx, cfg.srt_map},
       nrt_{ctx} {
   ctx_.controller.add_rx_listener(
       [this](const CanFrame& frame, TimePoint t) { dispatch(frame, t); });

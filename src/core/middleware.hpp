@@ -30,9 +30,6 @@ class Middleware {
     /// Deadline→priority mapping used by this node's SRT engine. Must be
     /// identical on all nodes for global EDF to be meaningful.
     DeadlinePriorityMap::Config srt_map{};
-    /// Identifier of the network segment this node lives on (multi-network
-    /// deployments; used for origin tagging).
-    std::uint8_t network_id = 0;
   };
 
   Middleware(const NodeContext& ctx, BindingRegistry& binding, Config cfg);

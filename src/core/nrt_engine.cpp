@@ -216,7 +216,7 @@ void NrtEngine::on_frame(const CanIdFields& fields, const CanFrame& frame,
       event.subject = sub->subject;
       event.content.assign(frame.data.begin(), frame.data.begin() + frame.dlc);
       event.attributes.timestamp = ctx_.clock.now();
-      event.attributes.origin_network = remote_origin ? 0xff : 0;
+      event.attributes.remote = remote_origin;
       ++counters_.delivered;
       sub->deliver(std::move(event), ctx_.clock.now());
       continue;
@@ -245,7 +245,7 @@ void NrtEngine::on_frame(const CanIdFields& fields, const CanFrame& frame,
       event.subject = sub->subject;
       event.content = std::move(re.buffer);
       event.attributes.timestamp = ctx_.clock.now();
-      event.attributes.origin_network = remote_origin ? 0xff : 0;
+      event.attributes.remote = remote_origin;
       re.buffer.clear();
       re.active = false;
       ++counters_.delivered;

@@ -177,19 +177,6 @@ trace::RtebRecorder& Scenario::attach_rteb(int network,
   return *net.rteb;
 }
 
-SpanProfiler& Scenario::enable_profiling() {
-  if (profiler_ == nullptr) {
-    profiler_ = std::make_unique<SpanProfiler>();
-    engine_.set_profiler(profiler_.get());
-    for (std::size_t i = 0; i < networks_.size(); ++i) {
-      char prefix[40];
-      std::snprintf(prefix, sizeof prefix, "net%03zu.bus", i);
-      networks_[i]->bus.set_profiler(profiler_.get(), prefix);
-    }
-  }
-  return *profiler_;
-}
-
 void Scenario::export_metrics(trace::MetricsRegistry& reg) const {
   char prefix[40];
   // %03zu padding keeps the registry's sorted iteration in instance order
@@ -209,7 +196,6 @@ void Scenario::export_metrics(trace::MetricsRegistry& reg) const {
       trace::export_metrics(reg, base + ".detector", *net.detector_bank);
     if (net.rteb) trace::export_metrics(reg, base + ".rteb", net.rteb->writer());
   }
-  if (profiler_) trace::export_metrics(reg, "profile", *profiler_);
 }
 
 std::string Scenario::metrics_json() const {
@@ -246,7 +232,6 @@ Node& Scenario::add_node(NodeId id, Node::ClockParams clock_params,
   Network& net = *networks_.at(static_cast<std::size_t>(network));
   Middleware::Config mw_cfg;
   mw_cfg.srt_map = cfg_.srt_map;
-  mw_cfg.network_id = static_cast<std::uint8_t>(network);
   auto node = std::make_unique<Node>(segment_sim(network), net.bus, binding_,
                                      &net.calendar, id, clock_params, mw_cfg);
   for (NodeId gw : net.gateways) node->middleware().add_gateway_node(gw);

@@ -16,7 +16,6 @@
 #include "trace/detectors.hpp"
 #include "trace/registry.hpp"
 #include "trace/stream.hpp"
-#include "util/profile.hpp"
 
 /// \file scenario.hpp
 /// Scenario — one simulated deployment: the kernel(s), one or more CAN
@@ -135,17 +134,10 @@ class Scenario {
     return networks_.at(static_cast<std::size_t>(network))->rteb.get();
   }
 
-  /// Enables simulated-time span profiling (util/profile.hpp): wires the
-  /// engine's epoch hook and every bus's occupancy hooks into one
-  /// scenario-owned profiler. Idempotent; exported under "profile." by
-  /// export_metrics.
-  SpanProfiler& enable_profiling();
-
   /// Snapshots every counter the scenario can see into `reg` (metric
   /// catalog: docs/observability.md): per-shard kernel stats
-  /// ("kernelNNN."), the parallel engine ("engine."), each network's bus
-  /// / tap / detectors / RTEB writer ("netNNN."), and the profiler
-  /// ("profile.") when enabled.
+  /// ("kernelNNN."), the parallel engine ("engine.") and each network's
+  /// bus / tap / detectors / RTEB writer ("netNNN.").
   void export_metrics(trace::MetricsRegistry& reg) const;
   /// export_metrics into a fresh registry, rendered as canonical JSON.
   [[nodiscard]] std::string metrics_json() const;
@@ -256,7 +248,6 @@ class Scenario {
   /// recorders can hook handoff posts whichever of record_rteb /
   /// link_gateway runs first.
   std::vector<std::pair<int, HandoffChannel*>> channel_sources_;
-  std::unique_ptr<SpanProfiler> profiler_;  ///< enable_profiling()
 };
 
 }  // namespace rtec

@@ -7,9 +7,9 @@
 
 namespace rtec {
 
-SrtEngine::SrtEngine(const NodeContext& ctx, DeadlinePriorityMap::Config map_cfg,
-                     std::uint8_t network_id)
-    : ctx_{ctx}, map_{map_cfg}, network_id_{network_id} {
+SrtEngine::SrtEngine(const NodeContext& ctx,
+                     DeadlinePriorityMap::Config map_cfg)
+    : ctx_{ctx}, map_{map_cfg} {
   // The middleware rigorously enforces P_HRT < P_SRT < P_NRT (§3.3).
   assert(map_cfg.p_min >= kSrtPriorityMin && map_cfg.p_max <= kSrtPriorityMax);
 }
@@ -274,10 +274,9 @@ void SrtEngine::on_frame(const CanIdFields& fields, const CanFrame& frame,
     event.subject = sub->subject;
     event.content.assign(frame.data.begin(), frame.data.begin() + frame.dlc);
     event.attributes.timestamp = ctx_.clock.now();
-    // Remote events are tagged with the sentinel 0xff: the frame itself
-    // carries no origin field; "remote" is inferred from the forwarding
-    // gateway's TxNode (configured system-wide).
-    event.attributes.origin_network = remote_origin ? 0xff : network_id_;
+    // The frame itself carries no origin field; "remote" is inferred from
+    // the forwarding gateway's TxNode (configured system-wide).
+    event.attributes.remote = remote_origin;
     ++counters_.delivered;
     sub->deliver(std::move(event), ctx_.clock.now());
   }

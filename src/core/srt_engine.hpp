@@ -54,8 +54,7 @@ class SrtEngine {
     bool cancelled = false;
   };
 
-  SrtEngine(const NodeContext& ctx, DeadlinePriorityMap::Config map_cfg,
-            std::uint8_t network_id);
+  SrtEngine(const NodeContext& ctx, DeadlinePriorityMap::Config map_cfg);
 
   Expected<void, ChannelError> announce(Subject subject, Etag etag,
                                         const AttributeList& attrs,
@@ -118,7 +117,6 @@ class SrtEngine {
 
   NodeContext ctx_;
   DeadlinePriorityMap map_;
-  std::uint8_t network_id_;
   std::map<Etag, Publication> publications_;
   EdfQueue<Message> queue_;
   std::map<std::uint64_t, EdfQueue<Message>::Handle> queued_handles_;

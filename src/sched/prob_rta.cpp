@@ -243,8 +243,7 @@ BitPmf error_recovery_pmf(int frame_bits, const OmissionModel& model) {
 
 ResponseDistribution hrt_response_distribution(int frame_bits,
                                                int omission_degree,
-                                               const OmissionModel& model,
-                                               const ProbRtaOptions& options) {
+                                               const OmissionModel& model) {
   assert(frame_bits >= 1 && omission_degree >= 0);
   const double p = clamp01(model.p);
   ResponseDistribution out;
@@ -259,10 +258,10 @@ ResponseDistribution hrt_response_distribution(int frame_bits,
     ConvRing ring{recovery};  // term E^{⊛j}, starting at j = 1
     double weight = (1.0 - p) * p;
     for (int j = 1;; ++j) {
-      ring.prune(options.prune_eps);
+      ring.prune(kPruneEps);
       ring.accumulate_into(acc, weight);
       if (j == omission_degree) break;
-      if (weight * p < options.tail_eps * (1.0 - p)) {
+      if (weight * p < kTailEps * (1.0 - p)) {
         // Remaining in-assumption weights Σ_{j'>j} p^j'(1−p) are below the
         // tail budget; account them instead of convolving further.
         truncated = std::pow(p, j + 1) - std::pow(p, omission_degree + 1);
@@ -291,10 +290,10 @@ namespace {
 /// Σ_{j≥0} p^j (1−p) (E^{⊛j} ⊕ frame_bits), truncated once the remaining
 /// weight drops below the tail budget, the term starts past `horizon`
 /// (those sample paths miss the deadline regardless of how they end), or
-/// max_failures is hit. The mass deficit (1 − mass) is the caller's
+/// kMaxFailures is hit. The mass deficit (1 − mass) is the caller's
 /// conservative miss/loss accounting.
 BitPmf geometric_service(int frame_bits, const OmissionModel& model,
-                         const ProbRtaOptions& options, std::int64_t horizon) {
+                         std::int64_t horizon) {
   const double p = clamp01(model.p);
   if (p >= 1.0) return BitPmf{};  // never delivered
   BitPmf acc = BitPmf::point(0);
@@ -303,10 +302,10 @@ BitPmf geometric_service(int frame_bits, const OmissionModel& model,
     const BitPmf recovery = error_recovery_pmf(frame_bits, model);
     ConvRing ring{recovery};
     double weight = (1.0 - p) * p;
-    for (int j = 1; j <= options.max_failures; ++j) {
-      ring.prune(options.prune_eps);
+    for (int j = 1; j <= kMaxFailures; ++j) {
+      ring.prune(kPruneEps);
       ring.accumulate_into(acc, weight);
-      if (weight * p < options.tail_eps * (1.0 - p)) break;
+      if (weight * p < kTailEps * (1.0 - p)) break;
       if (ring.first_bit() + frame_bits > horizon) break;
       ring.convolve(recovery);
       weight *= p;
@@ -318,13 +317,12 @@ BitPmf geometric_service(int frame_bits, const OmissionModel& model,
 
 }  // namespace
 
-ResponseDistribution hop_response_distribution(const HopQuery& query,
-                                               const ProbRtaOptions& options) {
+ResponseDistribution hop_response_distribution(const HopQuery& query) {
   assert(query.frame_bits >= 1);
   ResponseDistribution out;
   const std::int64_t deadline = query.deadline_bits;
   const BitPmf own =
-      geometric_service(query.frame_bits, query.faults, options, deadline);
+      geometric_service(query.frame_bits, query.faults, deadline);
   if (own.empty()) {
     out.miss_probability = 1.0;
     return out;
@@ -339,8 +337,7 @@ ResponseDistribution hop_response_distribution(const HopQuery& query,
   for (const HopInterferer& i : query.interferers) {
     if (i.frame_bits <= 0 || i.period_bits <= 0) continue;
     Occ occ;
-    occ.service =
-        geometric_service(i.frame_bits, query.faults, options, deadline);
+    occ.service = geometric_service(i.frame_bits, query.faults, deadline);
     occ.period = i.period_bits;
     if (!occ.service.empty()) occs.push_back(std::move(occ));
   }
@@ -361,7 +358,7 @@ ResponseDistribution hop_response_distribution(const HopQuery& query,
           std::max<std::int64_t>(0, window + occ.period - 1) / occ.period;
       while (occ.counted < want) {
         ring.convolve(occ.service);
-        ring.prune(options.prune_eps);
+        ring.prune(kPruneEps);
         ++occ.counted;
         changed = true;
       }

@@ -147,16 +147,15 @@ struct OmissionModel {
   double min_fraction = 0.05;  ///< RandomOmissionFaults' floor
 };
 
-/// Numerical policy of the engine. `prune_eps` is the per-convolution
-/// tail-pruning budget; `tail_eps` stops expanding geometric retry terms
+/// Numerical policy of the engine. `kPruneEps` is the per-convolution
+/// tail-pruning budget; `kTailEps` stops expanding geometric retry terms
 /// once the remaining weight is below it. Both losses are tracked and
 /// surface in ResponseDistribution::tail_epsilon — the documented error
 /// bound on every reported probability.
-struct ProbRtaOptions {
-  double prune_eps = 1e-13;
-  double tail_eps = 1e-12;
-  int max_failures = 256;  ///< hard cap on modeled consecutive failures
-};
+inline constexpr double kPruneEps = 1e-13;
+inline constexpr double kTailEps = 1e-12;
+/// Cap on the modeled consecutive failures of one frame.
+inline constexpr int kMaxFailures = 256;
 
 /// PMF of the bus time one corrupted attempt consumes before the retry
 /// can start: error-position data bits (the simulator charges
@@ -187,8 +186,7 @@ struct ResponseDistribution {
 /// priority 0, nothing else interposes (§3.2 of the paper) — this is an
 /// *exact* model of the simulator, which the differential test exploits.
 [[nodiscard]] ResponseDistribution hrt_response_distribution(
-    int frame_bits, int omission_degree, const OmissionModel& model,
-    const ProbRtaOptions& options = {});
+    int frame_bits, int omission_degree, const OmissionModel& model);
 
 /// One competing message stream in a hop admission query, in bit times.
 struct HopInterferer {
@@ -216,7 +214,7 @@ struct HopQuery {
 /// dominates every feasible phasing, so miss_probability is a sound upper
 /// bound — the probabilistic analogue of the T009/T010 bounds.
 [[nodiscard]] ResponseDistribution hop_response_distribution(
-    const HopQuery& query, const ProbRtaOptions& options = {});
+    const HopQuery& query);
 
 /// Union-bound composition of per-hop miss probabilities along a route:
 /// 1 − Π (1 − p_i), the probability at least one hop misses.

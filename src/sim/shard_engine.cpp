@@ -408,13 +408,9 @@ void ShardEngine::run_until(TimePoint t) {
   for (Worker& w : workers_) w.next_min = TimePoint::max();
   workers_.front().next_min = entry_min;
 
-  TimePoint prev_min = TimePoint::max();  // sentinel: no epoch yet
   for (;;) {
     const TimePoint next_min = barrier();
     if (next_min > t) break;
-    if (epoch_span_ != nullptr && prev_min != TimePoint::max())
-      epoch_span_->record((next_min - prev_min).ns());
-    prev_min = next_min;
     epoch_min_ = next_min;
     ++stats_.epochs;
     if (threads > 1) {
@@ -453,10 +449,6 @@ void ShardEngine::reset_stats() {
   stats_ = Stats{};
   stats_.per_shard_runs.assign(shards_.size(), 0);
   stats_.per_shard_skips.assign(shards_.size(), 0);
-}
-
-void ShardEngine::set_profiler(SpanProfiler* p) {
-  epoch_span_ = p != nullptr ? p->slot("engine.epoch_advance") : nullptr;
 }
 
 }  // namespace rtec

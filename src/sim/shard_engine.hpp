@@ -10,7 +10,6 @@
 
 #include "sim/handoff.hpp"
 #include "sim/simulator.hpp"
-#include "util/profile.hpp"
 #include "util/time_types.hpp"
 
 /// \file shard_engine.hpp
@@ -161,11 +160,6 @@ class ShardEngine {
   /// Zeroes every counter (the per-shard vectors keep their size).
   void reset_stats();
 
-  /// Enables simulated-time span profiling (nullptr disables; disabled
-  /// hooks cost one branch). Records "engine.epoch_advance": how far the
-  /// global minimum next-event time moved per epoch.
-  void set_profiler(SpanProfiler* p);
-
  private:
   friend class EpochPool;
 
@@ -241,7 +235,6 @@ class ShardEngine {
   std::vector<Worker> workers_;  ///< one per thread, the caller's first
   unsigned threads_ = 1;
   Stats stats_;
-  SpanStats* epoch_span_ = nullptr;  ///< nullptr: profiling disabled
   /// Helper threads for parallel epochs; declared last so it is joined
   /// before the vectors it reads are destroyed.
   std::unique_ptr<EpochPool> pool_;

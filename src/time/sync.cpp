@@ -87,11 +87,11 @@ void SyncSlave::on_frame(const CanFrame& frame, TimePoint) {
       window_corrections_ += last_correction_;
       window_span_ += Duration::nanoseconds(dm);
       ++window_rounds_;
-      if (window_rounds_ >= cfg_.rate_window_rounds) {
+      if (window_rounds_ >= kRateWindowRounds) {
         const std::int64_t err_ppb = -window_corrections_.ns() *
                                      1'000'000'000 / window_span_.ns();
-        const std::int64_t step = std::clamp(
-            -err_ppb, -cfg_.max_rate_step_ppb, cfg_.max_rate_step_ppb);
+        const std::int64_t step =
+            std::clamp(-err_ppb, -kMaxRateStepPpb, kMaxRateStepPpb);
         clock_.adjust_rate(step);
         window_corrections_ = Duration::zero();
         window_span_ = Duration::zero();

@@ -28,20 +28,21 @@
 
 namespace rtec {
 
+/// Clamp for each rate-servo step (ppb); keeps one noisy measurement
+/// from destabilizing the clock.
+inline constexpr std::int64_t kMaxRateStepPpb = 50'000;
+/// The servo estimates the rate error from the step corrections summed
+/// over this many rounds. One round's estimate is dominated by the
+/// clock-tick quantization (1 us / round ~ 100 ppm); averaging over N
+/// rounds divides that noise by N, which matters when the clock must
+/// coast accurately after the master disappears.
+inline constexpr int kRateWindowRounds = 8;
+
 struct SyncConfig {
   Duration period = Duration::milliseconds(100);
   std::uint32_t ref_frame_id = 0x10;       ///< must win arbitration promptly
   std::uint32_t followup_frame_id = 0x11;  ///< sent right after the ref frame
   bool rate_correction = true;
-  /// Clamp for each rate-servo step (ppb); keeps one noisy measurement
-  /// from destabilizing the clock.
-  std::int64_t max_rate_step_ppb = 50'000;
-  /// The servo estimates the rate error from the step corrections summed
-  /// over this many rounds. One round's estimate is dominated by the
-  /// clock-tick quantization (1 us / round ~ 100 ppm); averaging over N
-  /// rounds divides that noise by N, which matters when the clock must
-  /// coast accurately after the master disappears.
-  int rate_window_rounds = 8;
 };
 
 /// Master side: broadcasts reference/follow-up rounds on a timer.

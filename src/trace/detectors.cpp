@@ -7,8 +7,8 @@
 namespace rtec {
 namespace trace {
 
-double effective_sigma(double mean, double stddev, double rel_floor) {
-  return std::max(stddev, rel_floor * mean);
+double effective_sigma(double mean, double stddev) {
+  return std::max(stddev, kRelFloor * mean);
 }
 
 namespace {
@@ -26,9 +26,8 @@ Entry* find_entry(std::vector<Entry>& ids, std::uint32_t id) {
 /// Inserts a fresh entry keeping the vector sorted; nullptr when the
 /// tracking budget is exhausted (the caller treats the id as untracked).
 template <typename Entry>
-Entry* admit_entry(std::vector<Entry>& ids, std::uint32_t id,
-                   std::size_t max_tracked) {
-  if (ids.size() >= max_tracked) return nullptr;
+Entry* admit_entry(std::vector<Entry>& ids, std::uint32_t id) {
+  if (ids.size() >= kMaxTrackedIds) return nullptr;
   auto it = std::lower_bound(
       ids.begin(), ids.end(), id,
       [](const Entry& e, std::uint32_t key) { return e.id < key; });
@@ -46,7 +45,7 @@ MeanIatGate::Entry* MeanIatGate::find_or_admit(std::uint32_t id, TimePoint t) {
   // Admission closes with training: a profile cannot be learned any more,
   // so tracking the id would only grow state without enabling detection.
   if (!in_training(t)) return nullptr;
-  return admit_entry(ids_, id, cfg_.max_tracked_ids);
+  return admit_entry(ids_, id);
 }
 
 void MeanIatGate::on_frame(const CanBus::FrameEvent& ev) {
@@ -67,14 +66,13 @@ void MeanIatGate::on_frame(const CanBus::FrameEvent& ev) {
     e->train.add(dt);
     return;
   }
-  if (e->train.count() < cfg_.min_train_samples) {
+  if (e->train.count() < kMinTrainSamples) {
     raise(ev.frame.id, t, 0.0, /*unknown_id=*/true);
     return;
   }
-  const double sigma =
-      effective_sigma(e->train.mean(), e->train.stddev(), cfg_.rel_floor);
+  const double sigma = effective_sigma(e->train.mean(), e->train.stddev());
   const double z = std::abs(dt - e->train.mean()) / sigma;
-  if (z > cfg_.k) raise(ev.frame.id, t, z);
+  if (z > kSigmas) raise(ev.frame.id, t, z);
 }
 
 // ------------------------------------------------------------ CusumDetector
@@ -83,7 +81,7 @@ CusumDetector::Entry* CusumDetector::find_or_admit(std::uint32_t id,
                                                    TimePoint t) {
   if (Entry* e = find_entry(ids_, id)) return e;
   if (!in_training(t)) return nullptr;
-  return admit_entry(ids_, id, cfg_.max_tracked_ids);
+  return admit_entry(ids_, id);
 }
 
 void CusumDetector::on_frame(const CanBus::FrameEvent& ev) {
@@ -104,20 +102,19 @@ void CusumDetector::on_frame(const CanBus::FrameEvent& ev) {
     e->train.add(dt);
     return;
   }
-  if (e->train.count() < cfg_.min_train_samples) {
+  if (e->train.count() < kMinTrainSamples) {
     raise(ev.frame.id, t, 0.0, /*unknown_id=*/true);
     return;
   }
-  const double sigma =
-      effective_sigma(e->train.mean(), e->train.stddev(), cfg_.rel_floor);
+  const double sigma = effective_sigma(e->train.mean(), e->train.stddev());
   const double z = (dt - e->train.mean()) / sigma;
-  e->s_pos = std::max(0.0, e->s_pos + z - cfg_.drift);
-  e->s_neg = std::max(0.0, e->s_neg - z - cfg_.drift);
-  if (e->s_pos > cfg_.threshold) {
+  e->s_pos = std::max(0.0, e->s_pos + z - kDrift);
+  e->s_neg = std::max(0.0, e->s_neg - z - kDrift);
+  if (e->s_pos > kThreshold) {
     raise(ev.frame.id, t, e->s_pos);
     e->s_pos = 0.0;
   }
-  if (e->s_neg > cfg_.threshold) {
+  if (e->s_neg > kThreshold) {
     raise(ev.frame.id, t, e->s_neg);
     e->s_neg = 0.0;
   }
@@ -146,9 +143,9 @@ void WindowFrequencyDetector::close_one_window() {
         e.max_count = std::max(e.max_count, e.count);
       }
       ++e.train_windows;
-    } else if (e.train_windows >= cfg_.min_train_windows) {
-      const std::int64_t lo = std::max<std::int64_t>(e.min_count - cfg_.margin, 0);
-      const std::int64_t hi = e.max_count + cfg_.margin;
+    } else if (e.train_windows >= kMinTrainWindows) {
+      const std::int64_t lo = std::max<std::int64_t>(e.min_count - kMargin, 0);
+      const std::int64_t hi = e.max_count + kMargin;
       if (e.count < lo || e.count > hi) {
         const std::int64_t dist = e.count < lo ? lo - e.count : e.count - hi;
         // Alarm timestamp = window close time (when the count is known).
@@ -176,7 +173,7 @@ void WindowFrequencyDetector::on_frame(const CanBus::FrameEvent& ev) {
       raise(ev.frame.id, t, 0.0, /*unknown_id=*/true);
       return;
     }
-    e = admit_entry(ids_, ev.frame.id, cfg_.max_tracked_ids);
+    e = admit_entry(ids_, ev.frame.id);
     if (e == nullptr) return;  // tracking budget exhausted
     e->first_window = open_window_;
   }

@@ -32,7 +32,7 @@
 ///                     of traffic (message suspension) promptly.
 ///
 /// Common rules:
-///  * Bounded state: at most `max_tracked_ids` identifiers are learned
+///  * Bounded state: at most `kMaxTrackedIds` identifiers are learned
 ///    (admission closes when training ends); per-ID state is O(1). IDs
 ///    that arrive in detection without a trained profile raise an
 ///    `unknown-id` alarm (this is what catches fuzzing) and are counted,
@@ -99,24 +99,30 @@ class Detector : public StreamObserver {
   std::optional<TimePoint> first_alarm_;
 };
 
+/// Identifiers each detector learns at most.
+inline constexpr std::size_t kMaxTrackedIds = 256;
+/// Training IATs the gate and CUSUM need per ID; fewer ⇒ the ID counts as
+/// unknown in detection.
+inline constexpr std::size_t kMinTrainSamples = 8;
+/// σ floor of the gate and CUSUM, as a fraction of the trained mean.
+inline constexpr double kRelFloor = 0.05;
+
 /// Effective σ used to standardize IATs: perfectly periodic training
 /// traffic has σ = 0, which would make any deviation infinitely anomalous,
-/// so σ is floored at `rel_floor` times the trained mean.
-[[nodiscard]] double effective_sigma(double mean, double stddev,
-                                     double rel_floor);
+/// so σ is floored at `kRelFloor` times the trained mean.
+[[nodiscard]] double effective_sigma(double mean, double stddev);
 
 /// Per-frame mean/σ gate on inter-arrival times.
 class MeanIatGate final : public Detector {
  public:
+  /// Alarm when |dt - mean| > kSigmas · σ_eff.
+  static constexpr double kSigmas = 4.0;
+
   struct Config {
     TimePoint train_until;
-    double k = 4.0;          ///< alarm when |dt - mean| > k * σ_eff
-    double rel_floor = 0.05; ///< σ floor as a fraction of the mean
-    std::size_t min_train_samples = 8;  ///< fewer ⇒ ID counts as unknown
-    std::size_t max_tracked_ids = 256;
   };
 
-  explicit MeanIatGate(Config cfg) : Detector{cfg.train_until}, cfg_{cfg} {}
+  explicit MeanIatGate(Config cfg) : Detector{cfg.train_until} {}
 
   [[nodiscard]] const char* name() const override { return "iat_gate"; }
   void on_frame(const CanBus::FrameEvent& ev) override;
@@ -133,27 +139,24 @@ class MeanIatGate final : public Detector {
 
   Entry* find_or_admit(std::uint32_t id, TimePoint t);
 
-  Config cfg_;
-  std::vector<Entry> ids_;  ///< sorted by id; bounded by max_tracked_ids
+  std::vector<Entry> ids_;  ///< sorted by id; bounded by kMaxTrackedIds
 };
 
 /// Two-sided CUSUM on standardized IATs, per identifier. Each arrival
 /// contributes z = (dt - mean)/σ_eff; the decision statistics accumulate
-/// S⁺ = max(0, S⁺ + z - drift) and S⁻ = max(0, S⁻ - z - drift) and alarm
-/// (then reset the tripped side) when either exceeds `threshold`. Catches
-/// sustained small rate shifts that stay inside a per-frame gate.
+/// S⁺ = max(0, S⁺ + z - kDrift) and S⁻ = max(0, S⁻ - z - kDrift) and
+/// alarm (then reset the tripped side) when either exceeds `kThreshold`.
+/// Catches sustained small rate shifts that stay inside a per-frame gate.
 class CusumDetector final : public Detector {
  public:
+  static constexpr double kDrift = 0.5;      ///< slack per sample, in σ units
+  static constexpr double kThreshold = 8.0;  ///< alarm level for S⁺ / S⁻
+
   struct Config {
     TimePoint train_until;
-    double drift = 0.5;      ///< slack per sample, in σ units
-    double threshold = 8.0;  ///< alarm level for S⁺ / S⁻
-    double rel_floor = 0.05;
-    std::size_t min_train_samples = 8;
-    std::size_t max_tracked_ids = 256;
   };
 
-  explicit CusumDetector(Config cfg) : Detector{cfg.train_until}, cfg_{cfg} {}
+  explicit CusumDetector(Config cfg) : Detector{cfg.train_until} {}
 
   [[nodiscard]] const char* name() const override { return "cusum"; }
   void on_frame(const CanBus::FrameEvent& ev) override;
@@ -172,26 +175,25 @@ class CusumDetector final : public Detector {
 
   Entry* find_or_admit(std::uint32_t id, TimePoint t);
 
-  Config cfg_;
   std::vector<Entry> ids_;
 };
 
 /// Per-ID frame counts over tumbling windows, checked against the trained
-/// per-ID [min, max] count band (± margin). Windows are aligned to the
+/// per-ID [min, max] count band (± kMargin). Windows are aligned to the
 /// time origin and advance with the event stream; finish() closes the
 /// trailing windows. A window with zero frames from a trained ID is a
 /// first-class observation — this is the detector that flags message
 /// suspension within one window length.
 class WindowFrequencyDetector final : public Detector {
  public:
+  /// Allowed slack in frames on both sides of the trained band.
+  static constexpr std::int64_t kMargin = 1;
+  /// Trained windows required before an ID's band is enforced.
+  static constexpr std::uint64_t kMinTrainWindows = 4;
+
   struct Config {
     TimePoint train_until;
     Duration window = Duration::milliseconds(100);
-    /// Allowed slack in frames on both sides of the trained band.
-    std::int64_t margin = 1;
-    /// Trained windows required before an ID's band is enforced.
-    std::uint64_t min_train_windows = 4;
-    std::size_t max_tracked_ids = 256;
   };
 
   explicit WindowFrequencyDetector(Config cfg);

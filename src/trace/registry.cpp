@@ -49,15 +49,6 @@ void append_value(std::string& out, const MetricsRegistry::Value& v) {
   out += buf;
 }
 
-void export_span(MetricsRegistry& reg, const std::string& prefix,
-                 const SpanStats& s) {
-  reg.set(prefix + ".count", s.count);
-  reg.set(prefix + ".total_ns", s.count > 0 ? s.total_ns : 0);
-  reg.set(prefix + ".min_ns", s.count > 0 ? s.min_ns : 0);
-  reg.set(prefix + ".max_ns", s.count > 0 ? s.max_ns : 0);
-  reg.set(prefix + ".mean_ns", s.mean_ns());
-}
-
 }  // namespace
 
 std::optional<double> MetricsRegistry::get_double(
@@ -137,50 +128,6 @@ void export_metrics(MetricsRegistry& reg, const std::string& prefix,
   reg.set(prefix + ".busy_ns", bus.busy_time().ns());
   reg.set(prefix + ".error_ns", bus.error_time().ns());
   reg.set(prefix + ".utilization", bus.utilization());
-}
-
-void export_metrics(MetricsRegistry& reg, const std::string& prefix,
-                    const ClassUtilization& util) {
-  static constexpr const char* kClasses[] = {"hrt", "srt", "nrt"};
-  for (std::size_t c = 0; c < 3; ++c) {
-    const auto tc = static_cast<TrafficClass>(c);
-    const std::string base = prefix + "." + kClasses[c];
-    reg.set(base + ".frames", util.frames(tc));
-    reg.set(base + ".errors", util.errors(tc));
-    reg.set(base + ".busy_ns", util.busy(tc).ns());
-    reg.set(base + ".fraction", util.fraction(tc));
-  }
-}
-
-void export_metrics(MetricsRegistry& reg, const std::string& prefix,
-                    const LatencyProbe& probe) {
-  const SampleSet& s = probe.samples();
-  reg.set(prefix + ".count", static_cast<std::uint64_t>(s.count()));
-  if (s.empty()) return;
-  reg.set(prefix + ".min_ns", probe.min().ns());
-  reg.set(prefix + ".max_ns", probe.max().ns());
-  reg.set(prefix + ".jitter_ns", probe.jitter().ns());
-  reg.set(prefix + ".mean_ns", s.mean());
-  reg.set(prefix + ".p50_ns", s.quantile(0.50));
-  reg.set(prefix + ".p99_ns", s.quantile(0.99));
-}
-
-void export_metrics(MetricsRegistry& reg, const std::string& prefix,
-                    const Histogram& hist) {
-  reg.set(prefix + ".count", static_cast<std::uint64_t>(hist.count()));
-  reg.set(prefix + ".underflow", static_cast<std::uint64_t>(hist.underflow()));
-  reg.set(prefix + ".overflow", static_cast<std::uint64_t>(hist.overflow()));
-  if (hist.count() == 0) return;
-  reg.set(prefix + ".p50", hist.quantile(0.50));
-  reg.set(prefix + ".p90", hist.quantile(0.90));
-  reg.set(prefix + ".p99", hist.quantile(0.99));
-  reg.set(prefix + ".max", hist.quantile(1.0));
-}
-
-void export_metrics(MetricsRegistry& reg, const std::string& prefix,
-                    const SpanProfiler& prof) {
-  for (std::size_t i = 0; i < prof.size(); ++i)
-    export_span(reg, prefix + "." + prof.name(i), prof.at(i));
 }
 
 void export_metrics(MetricsRegistry& reg, const std::string& prefix,

@@ -11,10 +11,7 @@
 #include "sim/simulator.hpp"
 #include "trace/binary.hpp"
 #include "trace/detectors.hpp"
-#include "trace/histogram.hpp"
-#include "trace/metrics.hpp"
 #include "trace/stream.hpp"
-#include "util/profile.hpp"
 
 /// \file registry.hpp
 /// Unified metrics registry: one flat, deterministic snapshot of every
@@ -85,14 +82,6 @@ void export_metrics(MetricsRegistry& reg, const std::string& prefix,
                     const ShardEngine& engine);
 void export_metrics(MetricsRegistry& reg, const std::string& prefix,
                     const CanBus& bus);
-void export_metrics(MetricsRegistry& reg, const std::string& prefix,
-                    const ClassUtilization& util);
-void export_metrics(MetricsRegistry& reg, const std::string& prefix,
-                    const LatencyProbe& probe);
-void export_metrics(MetricsRegistry& reg, const std::string& prefix,
-                    const Histogram& hist);
-void export_metrics(MetricsRegistry& reg, const std::string& prefix,
-                    const SpanProfiler& prof);
 void export_metrics(MetricsRegistry& reg, const std::string& prefix,
                     const StreamTap& tap);
 void export_metrics(MetricsRegistry& reg, const std::string& prefix,

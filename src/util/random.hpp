@@ -7,8 +7,8 @@
 /// \file random.hpp
 /// Deterministic PRNG (xoshiro256**) for workload generation and fault
 /// injection. Every experiment seeds its generators explicitly so runs are
-/// exactly reproducible; std::mt19937 is avoided because its distributions
-/// are not portable across standard libraries.
+/// exactly reproducible; the standard library's engines are avoided
+/// because its distributions are not portable across standard libraries.
 
 namespace rtec {
 

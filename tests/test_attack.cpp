@@ -150,8 +150,6 @@ TEST(AttackScenario, SpoofingInjectsThroughArbitration) {
 
   SpoofingAttack::Config cfg;
   cfg.id = spoofed;
-  cfg.dlc = 4;
-  cfg.data = {1, 2, 3, 4};
   cfg.from = at_ms(10);
   cfg.to = at_ms(110);
   cfg.period = 10_ms;
@@ -266,8 +264,6 @@ TEST(AttackTrace, SpoofedFramesCandumpRoundTrip) {
 
   SpoofingAttack::Config cfg;
   cfg.id = encode_can_id({10, 1, 77});
-  cfg.dlc = 4;
-  cfg.data = {0xDE, 0xAD, 0xBE, 0xEF};
   cfg.from = at_ms(10);
   cfg.to = at_ms(60);
   cfg.period = 10_ms;
@@ -281,9 +277,8 @@ TEST(AttackTrace, SpoofedFramesCandumpRoundTrip) {
   ASSERT_EQ(entries.size(), 5u);
   for (const CandumpEntry& e : entries) {
     EXPECT_EQ(e.frame.id, cfg.id);
-    EXPECT_EQ(e.frame.dlc, cfg.dlc);
-    EXPECT_EQ(e.frame.data[0], 0xDE);
-    EXPECT_EQ(e.frame.data[3], 0xEF);
+    EXPECT_EQ(e.frame.dlc, SpoofingAttack::kDlc);
+    EXPECT_EQ(e.frame.data, (std::array<std::uint8_t, 8>{}));
   }
 
   // The log replays into a fresh simulation: same frames, same count.

@@ -225,9 +225,8 @@ TEST(DualPriority, PromotionLiftsMessageAboveCompetitor) {
   blocker.dlc = 8;
   (void)blocker_ctl.submit(blocker, TxMode::kAutoRetransmit);
 
-  DualPrioritySender::Config cfg;
-  DualPrioritySender a{sim, ctl_a, cfg};
-  DualPrioritySender b{sim, ctl_b, cfg};
+  DualPrioritySender a{sim, ctl_a};
+  DualPrioritySender b{sim, ctl_b};
   sim.schedule_after(10_us, [&] {
     // a: lazy deadline, stays in the low band during this test.
     a.queue(1, 10, 5, 0, sim.now() + 50_ms, 1_ms);
@@ -251,7 +250,7 @@ TEST(DualPriority, NoPromotionNeededWhenBusFree) {
   CanController peer{sim, 2};
   bus.attach(ctl);
   bus.attach(peer);
-  DualPrioritySender s{sim, ctl, {}};
+  DualPrioritySender s{sim, ctl};
   s.queue(1, 10, 5, 4, sim.now() + 10_ms, 1_ms);
   sim.run_until(TimePoint::origin() + 1_ms);
   EXPECT_EQ(s.outcome().sent, 1u);

@@ -143,7 +143,7 @@ TEST_F(ProtocolFixture, RetriesOnAgentSilenceThenFails) {
   ASSERT_TRUE(done);
   ASSERT_FALSE(result.has_value());
   EXPECT_EQ(result.error(), ChannelError::kBindingFailed);
-  EXPECT_EQ(client->requests_sent(), 3u);  // max_attempts
+  EXPECT_EQ(client->requests_sent(), 3u);  // kMaxAttempts
   EXPECT_EQ(client->timeouts(), 3u);
 }
 

@@ -99,7 +99,6 @@ TEST(MeanIatGate, UnknownIdAfterTrainingRaisesFlaggedAlarm) {
 TEST(MeanIatGate, SparseTrainingCountsAsUnknown) {
   trace::MeanIatGate::Config cfg;
   cfg.train_until = at_ms(1000);
-  cfg.min_train_samples = 8;
   trace::MeanIatGate gate{cfg};
 
   // Only three training IATs: not enough for a profile.
@@ -188,16 +187,17 @@ TEST(WindowFrequency, FlagsInjectionAndStaysQuietOnBenign) {
 TEST(Detectors, TrackingBudgetIsBoundedAndOverflowIsCounted) {
   trace::MeanIatGate::Config cfg;
   cfg.train_until = at_ms(1000);
-  cfg.max_tracked_ids = 4;
   trace::MeanIatGate gate{cfg};
 
-  // 16 distinct identifiers in training: only the first four admitted.
-  for (std::uint32_t id = 1; id <= 16; ++id)
-    feed_periodic(gate, id, 10_ms, at_ms(id), at_ms(1000));
-  EXPECT_EQ(gate.tracked_ids(), 4u);
+  // 16 identifiers past the budget in training: only the first
+  // kMaxTrackedIds are admitted.
+  const auto ids = static_cast<std::uint32_t>(trace::kMaxTrackedIds) + 16;
+  for (std::uint32_t id = 1; id <= ids; ++id)
+    feed_periodic(gate, id, 10_ms, at_ms(id % 10), at_ms(1000));
+  EXPECT_EQ(gate.tracked_ids(), trace::kMaxTrackedIds);
 
   // Untracked ids in detection raise unknown-id alarms, not UB.
-  gate.on_frame(delivery(12, at_ms(1100)));
+  gate.on_frame(delivery(ids, at_ms(1100)));
   EXPECT_EQ(gate.unknown_id_frames(), 1u);
 }
 

@@ -120,7 +120,7 @@ TEST_F(FttFixture, AsyncFrameNeverOverrunsIntoNextTriggerMessage) {
   // And every TM went out on its cycle boundary, undisturbed.
   int tms = 0;
   for (const auto& ev : events)
-    if (ev.frame.id == cfg.tm_id) {
+    if (ev.frame.id == kFttTmId) {
       ++tms;
       EXPECT_LT(ev.start.ns() % (5_ms).ns(), 100'000) << "TM delayed";
     }

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "core/gateway.hpp"
 #include "core/hrtec.hpp"
 #include "core/scenario.hpp"
@@ -137,7 +140,7 @@ TEST_F(GatewayFixture, LocalOnlySubscriberIgnoresForwardedEvents) {
                                 const auto e = plain.getEvent();
                                 ASSERT_TRUE(e.has_value());
                                 // Remote origin is tagged.
-                                EXPECT_EQ(e->attributes.origin_network, 0xff);
+                                EXPECT_TRUE(e->attributes.remote);
                               },
                               nullptr)
                   .has_value());
@@ -156,6 +159,77 @@ TEST_F(GatewayFixture, LocalOnlySubscriberIgnoresForwardedEvents) {
   scn.run_for(5_ms);
   EXPECT_EQ(plain_rx, 1);
   EXPECT_EQ(local_rx, 0);  // filtered: event originated on network A
+}
+
+/// A subscriber on segment `seg` receives one SRT and one NRT event
+/// published there (content 1) and one of each that a gateway forwards
+/// from segment `seg - 1` (content 2); returns what each one's
+/// EventAttributes::remote read, as (content, remote) pairs in arrival
+/// order, SRT first.
+std::vector<std::pair<int, bool>> origin_flags(int networks, int seg) {
+  Scenario::Config cfg;
+  cfg.networks = networks;
+  Scenario scn{cfg};
+  Node& far_pub_node = scn.add_node(1, perfect(), seg - 1);
+  Node& local_pub_node = scn.add_node(2, perfect(), seg);
+  Node& sub_node = scn.add_node(3, perfect(), seg);
+  Node& gw_near = scn.add_node(20, perfect(), seg - 1);
+  Node& gw_far = scn.add_node(21, perfect(), seg);
+  Gateway gw{gw_near, gw_far, scn.link_gateway(gw_near, gw_far, 10_us)};
+  const Subject srt = subject_of("origin/srt");
+  const Subject nrt = subject_of("origin/nrt");
+  EXPECT_TRUE(gw.bridge_srt(srt, 5_ms, 10_ms).has_value());
+  EXPECT_TRUE(gw.bridge_nrt(nrt, /*fragmented=*/false, kNrtPriorityMax)
+                  .has_value());
+
+  std::vector<std::pair<int, bool>> srt_seen;
+  std::vector<std::pair<int, bool>> nrt_seen;
+  Srtec srt_sub{sub_node.middleware()};
+  EXPECT_TRUE(srt_sub.subscribe(srt, {},
+                                [&] {
+                                  while (auto e = srt_sub.getEvent())
+                                    srt_seen.emplace_back(e->content.at(0),
+                                                          e->attributes.remote);
+                                },
+                                nullptr)
+                  .has_value());
+  Nrtec nrt_sub{sub_node.middleware()};
+  EXPECT_TRUE(nrt_sub.subscribe(nrt, {},
+                                [&] {
+                                  while (auto e = nrt_sub.getEvent())
+                                    nrt_seen.emplace_back(e->content.at(0),
+                                                          e->attributes.remote);
+                                },
+                                nullptr)
+                  .has_value());
+
+  Srtec srt_far{far_pub_node.middleware()};
+  Srtec srt_local{local_pub_node.middleware()};
+  Nrtec nrt_far{far_pub_node.middleware()};
+  Nrtec nrt_local{local_pub_node.middleware()};
+  for (auto* pub : {&srt_far, &srt_local})
+    EXPECT_TRUE(pub->announce(srt, {}, nullptr).has_value());
+  for (auto* pub : {&nrt_far, &nrt_local})
+    EXPECT_TRUE(pub->announce(nrt, {}, nullptr).has_value());
+  EXPECT_TRUE(srt_local.publish(Event{srt, {1}}).has_value());
+  EXPECT_TRUE(nrt_local.publish(Event{nrt, {1}}).has_value());
+  EXPECT_TRUE(srt_far.publish(Event{srt, {2}}).has_value());
+  EXPECT_TRUE(nrt_far.publish(Event{nrt, {2}}).has_value());
+  scn.run_for(10_ms);
+
+  srt_seen.insert(srt_seen.end(), nrt_seen.begin(), nrt_seen.end());
+  return srt_seen;
+}
+
+// The remote flag follows the sending node alone: a local event reads
+// local and a forwarded one remote on every segment, the last of a full
+// kMaxNetworks scenario (id 255) included.
+TEST(GatewayOrigin, LocalAndForwardedEventsOnAnySegment) {
+  const std::vector<std::pair<int, bool>> want = {
+      {1, false}, {2, true}, {1, false}, {2, true}};
+  EXPECT_EQ(origin_flags(2, 1), want);
+  EXPECT_EQ(origin_flags(Scenario::kMaxNetworks, Scenario::kMaxNetworks - 1),
+            want);
 }
 
 TEST_F(GatewayFixture, NrtBulkBridgedWithReassembly) {

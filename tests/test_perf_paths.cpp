@@ -154,7 +154,7 @@ TEST(MailboxWireBits, BusTimingUnchangedByCache) {
 // arbitration winners and therefore whole traces.
 TEST(ArbitrationCandidate, CacheTracksMailboxChanges) {
   Simulator sim;
-  CanController ctl{sim, 1, CanController::Config{.tx_mailboxes = 4}};
+  CanController ctl{sim, 1};
 
   EXPECT_FALSE(ctl.arbitration_candidate().has_value());
 

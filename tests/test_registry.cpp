@@ -70,26 +70,6 @@ TEST(Registry, KernelStatsCountSchedulingActivity) {
   EXPECT_EQ(reg.get_double("kernel.events_fired"), 5.0);
 }
 
-TEST(Registry, SpanProfilerSlotsAreStableAndExported) {
-  SpanProfiler prof;
-  SpanStats* s1 = prof.slot("engine.epoch_advance");
-  SpanStats* again = prof.slot("engine.epoch_advance");
-  EXPECT_EQ(s1, again);  // stable address, linear find-or-create
-  s1->record(100);
-  s1->record(300);
-  (void)prof.slot("empty.span");  // zero-count slot exports zeros
-
-  trace::MetricsRegistry reg;
-  trace::export_metrics(reg, "profile", prof);
-  EXPECT_EQ(reg.get_double("profile.engine.epoch_advance.count"), 2.0);
-  EXPECT_EQ(reg.get_double("profile.engine.epoch_advance.total_ns"), 400.0);
-  EXPECT_EQ(reg.get_double("profile.engine.epoch_advance.min_ns"), 100.0);
-  EXPECT_EQ(reg.get_double("profile.engine.epoch_advance.max_ns"), 300.0);
-  EXPECT_EQ(reg.get_double("profile.engine.epoch_advance.mean_ns"), 200.0);
-  EXPECT_EQ(reg.get_double("profile.empty.span.count"), 0.0);
-  EXPECT_EQ(reg.get_double("profile.empty.span.min_ns"), 0.0);
-}
-
 /// Two nodes exchanging SRT events on one segment; enough activity that
 /// every layer has non-zero counters.
 void run_srt_chatter(Scenario& scn, std::vector<std::unique_ptr<Srtec>>& keep,
@@ -121,7 +101,6 @@ void run_srt_chatter(Scenario& scn, std::vector<std::unique_ptr<Srtec>>& keep,
 TEST(Registry, ScenarioSnapshotCoversEveryLayerAndIsDeterministic) {
   const auto run = [] {
     Scenario scn;
-    scn.enable_profiling();
     (void)scn.record_rteb(0);
     std::vector<std::unique_ptr<Srtec>> keep;
     run_srt_chatter(scn, keep, 50_ms);
@@ -133,8 +112,7 @@ TEST(Registry, ScenarioSnapshotCoversEveryLayerAndIsDeterministic) {
   for (const char* key :
        {"\"kernel000.events_fired\"", "\"engine.epochs\"",
         "\"net000.bus.frames_ok\"", "\"net000.rteb.bytes\"",
-        "\"net000.rteb.records\"",
-        "\"profile.net000.bus.occupancy_ok.count\""}) {
+        "\"net000.rteb.records\""}) {
     EXPECT_NE(json.find(key), std::string::npos) << key << "\n" << json;
   }
   // The unsharded fast path never runs the engine.
@@ -143,17 +121,12 @@ TEST(Registry, ScenarioSnapshotCoversEveryLayerAndIsDeterministic) {
   trace::MetricsRegistry reg;
   {
     Scenario scn;
-    scn.enable_profiling();
     (void)scn.record_rteb(0);
     std::vector<std::unique_ptr<Srtec>> keep;
     run_srt_chatter(scn, keep, 50_ms);
     scn.export_metrics(reg);
     EXPECT_GT(std::get<std::uint64_t>(*reg.get("net000.bus.frames_ok")), 0u);
     EXPECT_GT(std::get<std::uint64_t>(*reg.get("net000.rteb.records")), 0u);
-    EXPECT_GT(
-        std::get<std::uint64_t>(
-            *reg.get("profile.net000.bus.occupancy_ok.count")),
-        0u);
   }
   // Identical scenario, identical snapshot — byte for byte.
   EXPECT_EQ(json, run());
@@ -205,20 +178,6 @@ TEST(Registry, ShardedScenarioExportsPerShardCounters) {
   for (const auto& [name, value] : reg.values())
     if (name.rfind("engine.horizon_log2.", 0) == 0) horizon_bucket = true;
   EXPECT_TRUE(horizon_bucket);
-}
-
-TEST(Registry, ExportersForProbesAndHistograms) {
-  Histogram hist{0.0, 100.0, 10};
-  trace::MetricsRegistry empty_reg;
-  trace::export_metrics(empty_reg, "h", hist);
-  EXPECT_EQ(empty_reg.get_double("h.count"), 0.0);
-  EXPECT_FALSE(empty_reg.get("h.p50").has_value());  // quantiles need data
-
-  for (int i = 1; i <= 100; ++i) hist.add(static_cast<double>(i % 100));
-  trace::MetricsRegistry reg;
-  trace::export_metrics(reg, "h", hist);
-  EXPECT_EQ(reg.get_double("h.count"), 100.0);
-  EXPECT_TRUE(reg.get("h.p99").has_value());
 }
 
 }  // namespace

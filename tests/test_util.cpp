@@ -4,8 +4,6 @@
 #include "util/crc15.hpp"
 #include "util/expected.hpp"
 #include "util/random.hpp"
-#include "util/ring_buffer.hpp"
-#include "util/static_vector.hpp"
 #include "util/stats.hpp"
 #include "util/task_pool.hpp"
 #include "util/time_types.hpp"
@@ -72,86 +70,6 @@ TEST(Expected, VoidSpecialization) {
   Expected<void, int> bad = Unexpected{7};
   ASSERT_FALSE(bad.has_value());
   EXPECT_EQ(bad.error(), 7);
-}
-
-// -------------------------------------------------------------- static vector
-
-TEST(StaticVector, PushPopAndIteration) {
-  StaticVector<int, 4> v;
-  EXPECT_TRUE(v.empty());
-  v.push_back(1);
-  v.push_back(2);
-  v.emplace_back(3);
-  EXPECT_EQ(v.size(), 3u);
-  int sum = 0;
-  for (int x : v) sum += x;
-  EXPECT_EQ(sum, 6);
-  v.pop_back();
-  EXPECT_EQ(v.back(), 2);
-}
-
-TEST(StaticVector, TryPushRespectsCapacity) {
-  StaticVector<int, 2> v;
-  EXPECT_TRUE(v.try_push_back(1));
-  EXPECT_TRUE(v.try_push_back(2));
-  EXPECT_TRUE(v.full());
-  EXPECT_FALSE(v.try_push_back(3));
-  EXPECT_EQ(v.size(), 2u);
-}
-
-TEST(StaticVector, EraseAtPreservesOrder) {
-  StaticVector<int, 8> v{10, 20, 30, 40};
-  v.erase_at(1);
-  ASSERT_EQ(v.size(), 3u);
-  EXPECT_EQ(v[0], 10);
-  EXPECT_EQ(v[1], 30);
-  EXPECT_EQ(v[2], 40);
-}
-
-TEST(StaticVector, NonTrivialElementLifetimes) {
-  static int live = 0;
-  struct Probe {
-    Probe() { ++live; }
-    Probe(const Probe&) { ++live; }
-    Probe& operator=(const Probe&) = default;
-    ~Probe() { --live; }
-  };
-  {
-    StaticVector<Probe, 4> v;
-    v.emplace_back();
-    v.emplace_back();
-    EXPECT_EQ(live, 2);
-    StaticVector<Probe, 4> w = v;
-    EXPECT_EQ(live, 4);
-    w.clear();
-    EXPECT_EQ(live, 2);
-  }
-  EXPECT_EQ(live, 0);
-}
-
-// --------------------------------------------------------------- ring buffer
-
-TEST(RingBuffer, FifoOrder) {
-  RingBuffer<int, 3> rb;
-  EXPECT_TRUE(rb.push(1));
-  EXPECT_TRUE(rb.push(2));
-  EXPECT_TRUE(rb.push(3));
-  EXPECT_FALSE(rb.push(4));  // full
-  EXPECT_EQ(rb.pop(), 1);
-  EXPECT_TRUE(rb.push(4));
-  EXPECT_EQ(rb.pop(), 2);
-  EXPECT_EQ(rb.pop(), 3);
-  EXPECT_EQ(rb.pop(), 4);
-  EXPECT_EQ(rb.pop(), std::nullopt);
-}
-
-TEST(RingBuffer, PushOverwriteEvictsOldest) {
-  RingBuffer<int, 2> rb;
-  EXPECT_FALSE(rb.push_overwrite(1));
-  EXPECT_FALSE(rb.push_overwrite(2));
-  EXPECT_TRUE(rb.push_overwrite(3));  // evicts 1
-  EXPECT_EQ(rb.pop(), 2);
-  EXPECT_EQ(rb.pop(), 3);
 }
 
 // --------------------------------------------------------------------- bytes

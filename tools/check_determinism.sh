@@ -25,10 +25,13 @@ cd "$root" || exit 2
 # reproducible bit-for-bit), the periodic-task clocks (src/time) and the
 # static verifier (src/analysis — its reports are golden-tested), and the
 # streaming trace consumers (src/trace — the anomaly detectors run inside
-# the simulation and feed the byte-identity differential tests).
+# the simulation and feed the byte-identity differential tests), the
+# shared utilities (src/util — Rng makes every seeded fault and workload
+# draw) and the comparison baselines (src/baselines — they drive E3, E4,
+# E5 and E11 inside the simulation).
 # Bench/tools/tests may use host facilities freely; they never run inside
 # a simulation.
-dirs="src/sim src/canbus src/core src/sched src/time src/analysis src/trace"
+dirs="src/sim src/canbus src/core src/sched src/time src/analysis src/trace src/util src/baselines"
 for d in $dirs; do
   if [ ! -d "$d" ]; then
     echo "check_determinism: missing directory $d (run from the repo root)" >&2

@@ -204,7 +204,7 @@ int main(int argc, char** argv) {
   }
 
   if (options.probabilistic && !json) {
-    for (const RouteMiss& rm : route_miss_bounds(input, options)) {
+    for (const RouteMiss& rm : route_miss_bounds(input)) {
       const RouteSpec& route = input.spec.routes[rm.route];
       if (!rm.computable) continue;
       char target[32] = "none";
