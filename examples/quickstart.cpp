@@ -17,13 +17,11 @@
 #include "core/scenario.hpp"
 #include "lint_check.hpp"
 #include "time/periodic.hpp"
-#include "util/logging.hpp"
 
 using namespace rtec;
 using namespace rtec::literals;
 
 int main() {
-  Logger::instance().init_from_env();  // RTEC_LOG=debug for a trace
   // --- configuration phase (offline) ---------------------------------
   Scenario::Config cfg;
   cfg.calendar.round_length = 10_ms;  // one TDMA round = 10 ms

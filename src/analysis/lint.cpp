@@ -133,22 +133,17 @@ LintReport lint_calendar(const CalendarImage& image,
                       ns_text(round_ns)});
 
     // --- C003: declared window vs recomputed ΔT_wait + WCTT -----------
-    if (slot.declared_window_ns) {
-      const std::int64_t required = f.window_ns;
-      if (*slot.declared_window_ns < required)
-        report.add({Rule::kWcttCoverage, Severity::kError, i, -1, slot.line,
-                    "declared window " + ns_text(*slot.declared_window_ns) +
-                        " does not cover ΔT_wait + WCTT(dlc=" +
-                        std::to_string(s.dlc) + ", k=" +
-                        std::to_string(s.fault.omission_degree) + ") = " +
-                        ns_text(required) +
-                        " — the image is stale or tampered"});
-      else if (*slot.declared_window_ns > required)
-        report.add({Rule::kWcttCoverage, Severity::kWarning, i, -1, slot.line,
-                    "declared window " + ns_text(*slot.declared_window_ns) +
-                        " over-reserves (derived window is " +
-                        ns_text(required) + "); safe but stale"});
-    }
+    // Any mismatch is an error: calendar_from_text refuses such an image.
+    if (slot.declared_window_ns && *slot.declared_window_ns != f.window_ns)
+      report.add({Rule::kWcttCoverage, Severity::kError, i, -1, slot.line,
+                  "declared window " + ns_text(*slot.declared_window_ns) +
+                      (*slot.declared_window_ns < f.window_ns
+                           ? " does not cover"
+                           : " over-reserves") +
+                      " ΔT_wait + WCTT(dlc=" + std::to_string(s.dlc) +
+                      ", k=" + std::to_string(s.fault.omission_degree) +
+                      ") = " + ns_text(f.window_ns) +
+                      " — the image is stale or tampered"});
   }
 
   // --- C002: pairwise circular separation >= ΔG_min ---------------------

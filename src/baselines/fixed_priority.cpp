@@ -97,14 +97,6 @@ void StaticPrioritySender::queue(const StreamSpec& spec, Priority priority,
   pump();
 }
 
-std::size_t StaticPrioritySender::drop_expired(TimePoint now, Duration grace) {
-  const std::size_t before = queue_.size();
-  std::erase_if(queue_, [&](const Pending& p) {
-    return p.deadline + grace < now;
-  });
-  return before - queue_.size();
-}
-
 void StaticPrioritySender::pump() {
   if (in_flight_ || queue_.empty()) return;
   const Pending next = queue_.front();

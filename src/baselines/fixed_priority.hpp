@@ -73,11 +73,6 @@ class StaticPrioritySender {
   [[nodiscard]] const Outcome& outcome() const { return outcome_; }
   [[nodiscard]] std::size_t backlog() const { return queue_.size(); }
 
-  /// Drops every queued message whose deadline+grace has passed (models an
-  /// expiration policy equivalent to the SRT engine's, so overload
-  /// comparisons are apples-to-apples). Returns how many were dropped.
-  std::size_t drop_expired(TimePoint now, Duration grace);
-
  private:
   struct Pending {
     CanFrame frame;

@@ -66,7 +66,6 @@ void FttSlave::queue_async(const CanFrame& frame) {
 
 void FttSlave::on_frame(const CanFrame& frame, TimePoint now) {
   if (frame.id != kFttTmId) return;
-  ++polls_seen_;
 
   // Synchronous phase: transmit every one of our polled streams. All
   // polled producers contend right after the TM; their ids decide the

@@ -96,7 +96,6 @@ class FttSlave {
 
   [[nodiscard]] std::uint64_t sync_sent() const { return sync_sent_; }
   [[nodiscard]] std::uint64_t async_sent() const { return async_sent_; }
-  [[nodiscard]] std::uint64_t polls_seen() const { return polls_seen_; }
 
  private:
   void on_frame(const CanFrame& frame, TimePoint now);
@@ -110,7 +109,6 @@ class FttSlave {
   bool async_in_flight_ = false;
   std::uint64_t sync_sent_ = 0;
   std::uint64_t async_sent_ = 0;
-  std::uint64_t polls_seen_ = 0;
 };
 
 }  // namespace rtec

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "util/logging.hpp"
-
 namespace rtec {
 
 using literals::operator""_ns;
@@ -18,10 +16,7 @@ Expected<void, ChannelError> HrtEngine::announce(Subject subject, Etag etag,
   if (publications_.contains(etag))
     return Unexpected{ChannelError::kAlreadyAnnounced};
 
-  Publication pub;
-  pub.subject = subject;
-  pub.etag = etag;
-  pub.on_exception = std::move(on_exception);
+  Publication pub{subject, etag, std::move(on_exception)};
 
   // Bind to the offline reservations for (etag, this node).
   const Calendar& cal = *ctx_.calendar;
@@ -94,7 +89,7 @@ Expected<void, ChannelError> HrtEngine::publish(Etag etag, Event event) {
   ++counters_.published;
   if (pub.next_event) {
     ++counters_.overwritten;
-    raise(pub, ChannelError::kEventOverwritten);
+    pub.raise(ChannelError::kEventOverwritten, ctx_.clock.now());
   }
   pub.next_event = std::move(event);
   return {};
@@ -134,13 +129,13 @@ void HrtEngine::on_slot_ready(Publication& pub, std::size_t slot_pos,
             // the fault assumption was violated.
             p.in_flight.reset();
             ++counters_.send_failed;
-            raise(p, ChannelError::kTransmissionFailed);
+            p.raise(ChannelError::kTransmissionFailed, ctx_.clock.now());
           }
         });
   } else if (pub.periodic) {
     // The application failed to provide an event for a periodic slot.
     ++counters_.publish_missed;
-    raise(pub, ChannelError::kPublishMissed);
+    pub.raise(ChannelError::kPublishMissed, ctx_.clock.now());
   }
   // Sporadic slot without an event: legitimately unused; the reserved
   // window is reclaimed by lower-priority traffic automatically.
@@ -165,8 +160,10 @@ void HrtEngine::submit_attempt(Publication& pub) {
   if (!result) {
     pub.in_flight.reset();
     ++counters_.send_failed;
-    raise(pub, result.error() == TxError::kBusOff ? ChannelError::kBusOff
-                                                  : ChannelError::kTransmissionFailed);
+    pub.raise(result.error() == TxError::kBusOff
+                  ? ChannelError::kBusOff
+                  : ChannelError::kTransmissionFailed,
+              ctx_.clock.now());
   }
 }
 
@@ -183,8 +180,6 @@ void HrtEngine::on_tx_result(Etag etag, bool success) {
       ctx_.sim.cancel(pub.deadline_timer);
       ++counters_.sent_ok;
       counters_.retries += static_cast<std::uint64_t>(pub.attempts - 1);
-      Logger::instance().logf(LogLevel::kDebug, ctx_.clock.now(), "hrt",
-                              "etag %u sent (attempt %d)", etag, pub.attempts);
     }
     if (pub.suppress_on_success) {
       // CAN's consistency property: every operational node has the frame.
@@ -198,10 +193,7 @@ void HrtEngine::on_tx_result(Etag etag, bool success) {
     pub.in_flight.reset();
     ctx_.sim.cancel(pub.deadline_timer);
     ++counters_.send_failed;
-    Logger::instance().logf(LogLevel::kWarn, ctx_.clock.now(), "hrt",
-                            "etag %u fault assumption violated (%d attempts)",
-                            etag, pub.attempts);
-    raise(pub, ChannelError::kTransmissionFailed);
+    pub.raise(ChannelError::kTransmissionFailed, ctx_.clock.now());
     return;
   }
 
@@ -215,11 +207,6 @@ void HrtEngine::on_tx_result(Etag etag, bool success) {
     pub.in_flight.reset();
 }
 
-void HrtEngine::raise(const Publication& pub, ChannelError e) {
-  if (pub.on_exception)
-    pub.on_exception({e, pub.subject, ctx_.clock.now()});
-}
-
 Expected<HrtEngine::Subscription*, ChannelError> HrtEngine::subscribe(
     Subject subject, Etag etag, const AttributeList& attrs,
     NotificationHandler notify, ExceptionHandler on_exception) {
@@ -230,12 +217,9 @@ Expected<HrtEngine::Subscription*, ChannelError> HrtEngine::subscribe(
     if (ctx_.calendar->slot(i).etag == etag) slots.push_back(i);
   if (slots.empty()) return Unexpected{ChannelError::kNoReservation};
 
-  const std::size_t capacity =
-      attrs.get<attr::QueueCapacity>().value_or(attr::QueueCapacity{}).events;
-  auto sub = std::make_unique<Subscription>(subject, etag, capacity);
-  sub->local_only = attrs.has<attr::LocalOnly>();
-  sub->notify = std::move(notify);
-  sub->on_exception = std::move(on_exception);
+  auto sub = std::make_unique<Subscription>(subject, etag, attrs,
+                                            std::move(notify),
+                                            std::move(on_exception));
   sub->watches.resize(slots.size());
 
   const TimePoint now_local = ctx_.clock.now();
@@ -293,8 +277,7 @@ void HrtEngine::close_watch(Subscription& sub, Subscription::SlotWatch& watch) {
     // The reservation tells the subscriber a message was due: its absence
     // is detectable locally (§2.2.1).
     ++counters_.missing;
-    if (sub.on_exception)
-      sub.on_exception({ChannelError::kMissingMessage, sub.subject, now_local});
+    sub.raise(ChannelError::kMissingMessage, now_local);
   }
   arm_watch(sub, watch, watch.current.ready + 1_ns);
 }
@@ -308,11 +291,9 @@ void HrtEngine::on_frame(const CanIdFields& fields, const CanFrame& frame,
       if (!watch.window_open) continue;
       if (ctx_.calendar->slot(watch.slot_index).publisher != fields.tx_node)
         continue;
-      Event event;
-      event.subject = sub->subject;
-      event.content.assign(frame.data.begin(), frame.data.begin() + frame.dlc);
-      event.attributes.timestamp = ctx_.clock.now();
-      watch.arrival = std::move(event);
+      const auto bytes = frame.payload();
+      watch.arrival = sub->received({bytes.begin(), bytes.end()},
+                                    ctx_.clock.now(), /*remote=*/false);
       consumed = true;
       break;
     }

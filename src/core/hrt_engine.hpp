@@ -66,7 +66,6 @@ class HrtEngine {
       Simulator::TimerHandle timer;
     };
     std::vector<SlotWatch> watches;
-    bool cancelled = false;
   };
 
   explicit HrtEngine(const NodeContext& ctx);
@@ -99,16 +98,14 @@ class HrtEngine {
   [[nodiscard]] const Counters& counters() const { return counters_; }
 
  private:
-  struct Publication {
-    Subject subject;
-    Etag etag = 0;
+  struct Publication : ChannelEnd {
+    using ChannelEnd::ChannelEnd;
     bool periodic = true;
     int dlc = 8;
     int omission_degree = 0;
     /// Paper's scheme: stop transmitting once all nodes have the frame.
     /// false = TTCAN-style ablation (attr::AlwaysTransmitCopies).
     bool suppress_on_success = true;
-    ExceptionHandler on_exception;
     std::vector<std::size_t> slots;  ///< calendar indices owned here
 
     std::optional<Event> next_event;
@@ -129,7 +126,6 @@ class HrtEngine {
                      Calendar::Instance inst);
   void submit_attempt(Publication& pub);
   void on_tx_result(Etag etag, bool success);
-  void raise(const Publication& pub, ChannelError e);
 
   void arm_watch(Subscription& sub, Subscription::SlotWatch& watch,
                  TimePoint local_after);

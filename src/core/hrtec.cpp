@@ -2,71 +2,12 @@
 
 namespace rtec {
 
-Hrtec::~Hrtec() {
-  if (announced_) (void)mw_.hrt().cancel_publication(*announced_);
-  if (sub_ != nullptr) mw_.hrt().cancel_subscription(sub_);
-}
-
-Expected<void, ChannelError> Hrtec::announce(Subject subject,
-                                             const AttributeList& attrs,
-                                             ExceptionHandler exception_handler) {
-  if (announced_) return Unexpected{ChannelError::kAlreadyAnnounced};
-  const auto etag = mw_.bind(subject);
-  if (!etag) return Unexpected{etag.error()};
-  const auto r =
-      mw_.hrt().announce(subject, *etag, attrs, std::move(exception_handler));
-  if (!r) return r;
-  subject_ = subject;
-  announced_ = *etag;
-  return {};
-}
-
-Expected<void, ChannelError> Hrtec::cancelPublication() {
-  if (!announced_) return Unexpected{ChannelError::kNotAnnounced};
-  const auto r = mw_.hrt().cancel_publication(*announced_);
-  announced_.reset();
-  return r;
-}
-
-Expected<void, ChannelError> Hrtec::publish(Event event) {
-  if (!announced_) return Unexpected{ChannelError::kNotAnnounced};
-  event.subject = *subject_;
-  return mw_.hrt().publish(*announced_, std::move(event));
-}
-
-Expected<void, ChannelError> Hrtec::subscribe(Subject subject,
-                                              const AttributeList& attrs,
-                                              NotificationHandler not_handler,
-                                              ExceptionHandler exception_handler) {
-  if (sub_ != nullptr) return Unexpected{ChannelError::kAlreadySubscribed};
-  const auto etag = mw_.bind(subject);
-  if (!etag) return Unexpected{etag.error()};
-  auto r = mw_.hrt().subscribe(subject, *etag, attrs, std::move(not_handler),
-                               std::move(exception_handler));
-  if (!r) return Unexpected{r.error()};
-  mw_.add_subscription_filter(*etag);  // hardware routing for this subject
-  subject_ = subject;
-  sub_ = *r;
-  return {};
-}
-
-Expected<void, ChannelError> Hrtec::cancelSubscription() {
-  if (sub_ == nullptr) return Unexpected{ChannelError::kNotSubscribed};
-  mw_.hrt().cancel_subscription(sub_);
-  sub_ = nullptr;
-  return {};
-}
-
-std::optional<Event> Hrtec::getEvent() {
-  if (sub_ == nullptr) return std::nullopt;
-  return sub_->queue.pop();
-}
-
 Expected<Duration, ChannelError> Hrtec::guaranteed_latency() const {
-  if (!subject_) return Unexpected{ChannelError::kNotAnnounced};
+  const auto subj = subject();
+  if (!subj) return Unexpected{ChannelError::kNotAnnounced};
   const Calendar* calendar = mw_.context().calendar;
   if (calendar == nullptr) return Unexpected{ChannelError::kNoReservation};
-  const auto etag = mw_.binding().lookup(*subject_);
+  const auto etag = mw_.binding().lookup(*subj);
   if (!etag) return Unexpected{ChannelError::kNoReservation};
 
   Duration worst = Duration::zero();

@@ -1,8 +1,6 @@
 #pragma once
 
-#include <optional>
-
-#include "core/middleware.hpp"
+#include "core/channel.hpp"
 
 /// \file hrtec.hpp
 /// Hard real-time event channel — the application-facing class of Fig. 1:
@@ -16,49 +14,21 @@
 ///     int cancelSubscription(void);
 ///   }
 ///
-/// Modernizations (documented deviations): `int` error returns become
-/// Expected<void, ChannelError>; the event_queue argument becomes an
-/// attr::QueueCapacity attribute (the middleware owns the "predefined
-/// memory area" and hands events out via getEvent()); a channel object is
-/// bound to a node's middleware at construction.
+/// The calls are EventChannel's (core/channel.hpp). For this class:
+/// - announce() verifies the offline slot reservation for (subject, this
+///   node) and arms the slot machinery;
+/// - publish() stages the event for the next reserved slot instance. It
+///   must be called before the slot's latest ready time (LST − ΔT_wait)
+///   to make that instance; later publications ride the following one;
+/// - subscribe() arms the per-slot reception windows with missing-message
+///   detection;
+/// - only subscribers can dynamically leave a HRTEC (cancelSubscription()).
 
 namespace rtec {
 
-class Hrtec {
+class Hrtec : public EventChannel<HrtEngine> {
  public:
-  explicit Hrtec(Middleware& mw) : mw_{mw} {}
-  Hrtec(const Hrtec&) = delete;
-  Hrtec& operator=(const Hrtec&) = delete;
-  ~Hrtec();
-
-  /// Publisher setup: binds the subject, verifies the offline slot
-  /// reservation for (subject, this node) and arms the slot machinery.
-  Expected<void, ChannelError> announce(Subject subject,
-                                        const AttributeList& attrs,
-                                        ExceptionHandler exception_handler);
-
-  /// Releases the publisher registration (local operation).
-  Expected<void, ChannelError> cancelPublication();
-
-  /// Stages an event for the next reserved slot instance. Must be called
-  /// before the slot's latest ready time (LST − ΔT_wait) to make that
-  /// instance; later publications ride the following instance.
-  Expected<void, ChannelError> publish(Event event);
-
-  /// Subscriber setup: binds the subject and arms the per-slot reception
-  /// windows with missing-message detection.
-  Expected<void, ChannelError> subscribe(Subject subject,
-                                         const AttributeList& attrs,
-                                         NotificationHandler not_handler,
-                                         ExceptionHandler exception_handler);
-
-  /// Strictly local: releases the resources in the local event handler
-  /// (§2.2.1). Only subscribers can dynamically leave a HRTEC.
-  Expected<void, ChannelError> cancelSubscription();
-
-  /// Retrieves the next delivered event from the subscription's queue
-  /// (called from the notification handler, §2.2.1).
-  [[nodiscard]] std::optional<Event> getEvent();
+  using EventChannel::EventChannel;
 
   /// The channel's guaranteed transport latency (§2.2: "the interval
   /// between the point in time when an event message becomes ready and
@@ -67,14 +37,6 @@ class Hrtec {
   /// of the channel without touching network internals. Requires a prior
   /// announce() or subscribe().
   [[nodiscard]] Expected<Duration, ChannelError> guaranteed_latency() const;
-
-  [[nodiscard]] std::optional<Subject> subject() const { return subject_; }
-
- private:
-  Middleware& mw_;
-  std::optional<Subject> subject_;
-  std::optional<Etag> announced_;
-  HrtEngine::Subscription* sub_ = nullptr;
 };
 
 }  // namespace rtec

@@ -2,6 +2,7 @@
 
 #include <memory>
 #include <set>
+#include <tuple>
 
 #include "core/binding.hpp"
 #include "core/hrt_engine.hpp"
@@ -73,6 +74,11 @@ class Middleware {
   [[nodiscard]] const HrtEngine& hrt() const { return hrt_; }
   [[nodiscard]] const SrtEngine& srt() const { return srt_; }
   [[nodiscard]] const NrtEngine& nrt() const { return nrt_; }
+  /// The engine of one class, by type (EventChannel's accessor).
+  template <typename Engine>
+  [[nodiscard]] Engine& engine() {
+    return std::get<Engine&>(std::tie(hrt_, srt_, nrt_));
+  }
 
  private:
   void dispatch(const CanFrame& frame, TimePoint bus_time);

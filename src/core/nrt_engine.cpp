@@ -29,10 +29,7 @@ Expected<void, ChannelError> NrtEngine::announce(Subject subject, Etag etag,
   if (publications_.contains(etag))
     return Unexpected{ChannelError::kAlreadyAnnounced};
 
-  Publication pub;
-  pub.subject = subject;
-  pub.etag = etag;
-  pub.on_exception = std::move(on_exception);
+  Publication pub{subject, etag, std::move(on_exception)};
   if (const auto p = attrs.get<attr::FixedPriority>()) {
     // Only priorities within the predefined NRT range are accepted
     // (§2.2.3) — anything else could interfere with RT traffic.
@@ -158,9 +155,7 @@ void NrtEngine::pump() {
   if (!result) {
     // Bus-off / no mailbox: drop this channel's backlog and report.
     ++counters_.send_failed;
-    if (best->on_exception)
-      best->on_exception(
-          {ChannelError::kBusOff, best->subject, ctx_.clock.now()});
+    best->raise(ChannelError::kBusOff, ctx_.clock.now());
     best->backlog.clear();
     return;
   }
@@ -177,9 +172,7 @@ void NrtEngine::on_tx_result(Etag etag, bool end_of_message, bool success) {
       if (end_of_message) ++counters_.messages_sent;
     } else {
       ++counters_.send_failed;
-      if (it->second.on_exception)
-        it->second.on_exception(
-            {ChannelError::kBusOff, it->second.subject, ctx_.clock.now()});
+      it->second.raise(ChannelError::kBusOff, ctx_.clock.now());
       it->second.backlog.clear();
     }
   }
@@ -189,14 +182,11 @@ void NrtEngine::on_tx_result(Etag etag, bool end_of_message, bool success) {
 Expected<NrtEngine::Subscription*, ChannelError> NrtEngine::subscribe(
     Subject subject, Etag etag, const AttributeList& attrs,
     NotificationHandler notify, ExceptionHandler on_exception) {
-  const std::size_t capacity =
-      attrs.get<attr::QueueCapacity>().value_or(attr::QueueCapacity{}).events;
-  auto sub = std::make_unique<Subscription>(subject, etag, capacity);
-  sub->local_only = attrs.has<attr::LocalOnly>();
+  auto sub = std::make_unique<Subscription>(subject, etag, attrs,
+                                            std::move(notify),
+                                            std::move(on_exception));
   sub->fragmented =
       attrs.get<attr::Fragmentation>().value_or(attr::Fragmentation{false}).enabled;
-  sub->notify = std::move(notify);
-  sub->on_exception = std::move(on_exception);
   subscriptions_.push_back(std::move(sub));
   return subscriptions_.back().get();
 }
@@ -212,13 +202,12 @@ void NrtEngine::on_frame(const CanIdFields& fields, const CanFrame& frame,
     if (sub->local_only && remote_origin) continue;
 
     if (!sub->fragmented) {
-      Event event;
-      event.subject = sub->subject;
-      event.content.assign(frame.data.begin(), frame.data.begin() + frame.dlc);
-      event.attributes.timestamp = ctx_.clock.now();
-      event.attributes.remote = remote_origin;
+      const auto bytes = frame.payload();
       ++counters_.delivered;
-      sub->deliver(std::move(event), ctx_.clock.now());
+      sub->deliver(
+          sub->received({bytes.begin(), bytes.end()}, ctx_.clock.now(),
+                        remote_origin),
+          ctx_.clock.now());
       continue;
     }
 
@@ -234,18 +223,13 @@ void NrtEngine::on_frame(const CanIdFields& fields, const CanFrame& frame,
         re.active = false;
         re.buffer.clear();
         ++counters_.reassembly_failed;
-        if (sub->on_exception)
-          sub->on_exception({ChannelError::kReassemblyFailed, sub->subject,
-                             ctx_.clock.now()});
+        sub->raise(ChannelError::kReassemblyFailed, ctx_.clock.now());
       }
     };
 
     auto complete = [&] {
-      Event event;
-      event.subject = sub->subject;
-      event.content = std::move(re.buffer);
-      event.attributes.timestamp = ctx_.clock.now();
-      event.attributes.remote = remote_origin;
+      Event event =
+          sub->received(std::move(re.buffer), ctx_.clock.now(), remote_origin);
       re.buffer.clear();
       re.active = false;
       ++counters_.delivered;

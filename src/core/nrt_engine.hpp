@@ -48,7 +48,6 @@ class NrtEngine {
   struct Subscription : SubscriptionBase {
     using SubscriptionBase::SubscriptionBase;
     bool fragmented = false;
-    bool cancelled = false;
 
     struct Reassembly {
       std::uint8_t msg_id = 0;
@@ -94,13 +93,11 @@ class NrtEngine {
     bool end_of_message = false;
   };
 
-  struct Publication {
-    Subject subject;
-    Etag etag = 0;
+  struct Publication : ChannelEnd {
+    using ChannelEnd::ChannelEnd;
     Priority priority = kNrtPriorityMax;
     bool fragmented = false;
     std::uint8_t next_msg_id = 0;
-    ExceptionHandler on_exception;
     std::deque<QueuedFrame> backlog;
   };
 

@@ -1,8 +1,6 @@
 #pragma once
 
-#include <optional>
-
-#include "core/middleware.hpp"
+#include "core/channel.hpp"
 
 /// \file nrtec.hpp
 /// Non real-time event channel (§2.2.3): fixed application-chosen priority
@@ -10,39 +8,13 @@
 /// for bulk payloads (memory images, electronic data sheets, test
 /// patterns). Fragmentation is an inherent channel attribute declared in
 /// the announce()/subscribe() attribute list.
+///
+/// The calls are EventChannel's (core/channel.hpp). For this class,
+/// publish() queues the event; fragmented channels accept payloads up to
+/// 2^24-1 bytes, plain channels up to 8 bytes.
 
 namespace rtec {
 
-class Nrtec {
- public:
-  explicit Nrtec(Middleware& mw) : mw_{mw} {}
-  Nrtec(const Nrtec&) = delete;
-  Nrtec& operator=(const Nrtec&) = delete;
-  ~Nrtec();
-
-  Expected<void, ChannelError> announce(Subject subject,
-                                        const AttributeList& attrs,
-                                        ExceptionHandler exception_handler);
-  Expected<void, ChannelError> cancelPublication();
-
-  /// Queues the event; fragmented channels accept payloads up to 2^24-1
-  /// bytes, plain channels up to 8 bytes.
-  Expected<void, ChannelError> publish(Event event);
-
-  Expected<void, ChannelError> subscribe(Subject subject,
-                                         const AttributeList& attrs,
-                                         NotificationHandler not_handler,
-                                         ExceptionHandler exception_handler);
-  Expected<void, ChannelError> cancelSubscription();
-
-  [[nodiscard]] std::optional<Event> getEvent();
-  [[nodiscard]] std::optional<Subject> subject() const { return subject_; }
-
- private:
-  Middleware& mw_;
-  std::optional<Subject> subject_;
-  std::optional<Etag> announced_;
-  NrtEngine::Subscription* sub_ = nullptr;
-};
+using Nrtec = EventChannel<NrtEngine>;
 
 }  // namespace rtec

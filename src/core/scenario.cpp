@@ -142,29 +142,15 @@ std::uint64_t Scenario::tapped_deliveries(int network) const {
 
 void Scenario::flush_streams() {
   const TimePoint t = now();
-  for (const auto& net : networks_) {
+  for (const auto& net : networks_)
     if (net->tap) net->tap->finish(t);
-    if (net->rteb) net->rteb->finish();
-  }
 }
 
 trace::RtebRecorder& Scenario::record_rteb(int network) {
-  return attach_rteb(network, nullptr);
-}
-
-trace::RtebRecorder& Scenario::record_rteb_file(const std::string& path,
-                                                int network) {
-  return attach_rteb(network, &path);
-}
-
-trace::RtebRecorder& Scenario::attach_rteb(int network,
-                                           const std::string* path) {
   Network& net = *networks_.at(static_cast<std::size_t>(network));
   assert(net.rteb == nullptr && "one RTEB recorder per network");
-  const auto net_id = static_cast<std::uint16_t>(network);
-  net.rteb = path != nullptr
-                 ? std::make_unique<trace::RtebRecorder>(net.bus, net_id, *path)
-                 : std::make_unique<trace::RtebRecorder>(net.bus, net_id);
+  net.rteb = std::make_unique<trace::RtebRecorder>(
+      net.bus, static_cast<std::uint16_t>(network));
   trace::RtebWriter& w = net.rteb->writer();
   if (net.detector_bank != nullptr) {
     for (std::size_t i = 0; i < net.detector_bank->size(); ++i)

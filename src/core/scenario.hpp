@@ -90,9 +90,6 @@ class Scenario {
 
   /// Installs a fault model on one network (owned by the scenario).
   void set_fault_model(std::unique_ptr<FaultModel> model, int network = 0);
-  [[nodiscard]] FaultModel* fault_model(int network = 0) {
-    return networks_.at(static_cast<std::size_t>(network))->faults.get();
-  }
 
   /// Installs an adversarial workload (canbus/attack.hpp) on one network
   /// and arms it. `attacker_id` is the adversary's own controller identity
@@ -114,8 +111,7 @@ class Scenario {
   [[nodiscard]] std::uint64_t tapped_deliveries(int network = 0) const;
 
   /// Ends the streaming observers' input: flushes window state of every
-  /// detector bank at the current time and flushes file-backed RTEB
-  /// recorders. Call once after the final run.
+  /// detector bank at the current time. Call once after the final run.
   void flush_streams();
 
   /// Attaches a memory-backed RTEB recorder (trace/binary.hpp) to one
@@ -126,9 +122,6 @@ class Scenario {
   /// adding the network's detectors — alarm sinks are wired at this point
   /// (and replace any sink already set on them). One recorder per network.
   trace::RtebRecorder& record_rteb(int network = 0);
-  /// Same, streaming to `path` through the writer's bounded buffer.
-  trace::RtebRecorder& record_rteb_file(const std::string& path,
-                                        int network = 0);
   /// The network's recorder, or nullptr when record_rteb was never called.
   [[nodiscard]] trace::RtebRecorder* rteb(int network = 0) {
     return networks_.at(static_cast<std::size_t>(network))->rteb.get();
@@ -225,11 +218,9 @@ class Scenario {
     /// Streaming observer plumbing, created lazily by detectors().
     std::unique_ptr<trace::StreamTap> tap;
     std::unique_ptr<trace::DetectorBank> detector_bank;
-    /// Binary trace capture, created by record_rteb[_file]().
+    /// Binary trace capture, created by record_rteb().
     std::unique_ptr<trace::RtebRecorder> rteb;
   };
-
-  trace::RtebRecorder& attach_rteb(int network, const std::string* path);
 
   Config cfg_;
   /// One kernel per shard; every member below may reference them, so they

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "util/logging.hpp"
-
 namespace rtec {
 
 SrtEngine::SrtEngine(const NodeContext& ctx,
@@ -19,10 +17,7 @@ Expected<void, ChannelError> SrtEngine::announce(Subject subject, Etag etag,
                                                  ExceptionHandler on_exception) {
   if (publications_.contains(etag))
     return Unexpected{ChannelError::kAlreadyAnnounced};
-  Publication pub;
-  pub.subject = subject;
-  pub.etag = etag;
-  pub.on_exception = std::move(on_exception);
+  Publication pub{subject, etag, std::move(on_exception)};
   if (const auto d = attrs.get<attr::Deadline>()) {
     if (d->relative <= Duration::zero())
       return Unexpected{ChannelError::kInvalidAttribute};
@@ -81,15 +76,13 @@ Expected<void, ChannelError> SrtEngine::publish(Etag etag, Event event) {
   const TimePoint deadline = msg.deadline;
   const TimePoint expiration = msg.expiration;
 
-  queued_handles_[uid] = queue_.push(msg.deadline, std::move(msg));
-
-  MsgTimers t;
-  t.etag = etag;
-  t.deadline = ctx_.clock.schedule_at_local(deadline,
-                                            [this, uid] { on_deadline(uid); });
-  t.expiration = ctx_.clock.schedule_at_local(
+  Record& rec = records_[uid];
+  rec.etag = etag;
+  rec.queued = queue_.push(deadline, std::move(msg));
+  rec.deadline = ctx_.clock.schedule_at_local(
+      deadline, [this, uid] { on_deadline(uid); });
+  rec.expiration = ctx_.clock.schedule_at_local(
       expiration, [this, uid] { on_expiration(uid); });
-  timers_.emplace(uid, std::move(t));
 
   pump();
   return {};
@@ -106,7 +99,8 @@ void SrtEngine::pump() {
       ctx_.sim.cancel(promotion_timer_);
       Message back = std::move(in_flight_->msg);
       in_flight_.reset();
-      queued_handles_[back.uid] = queue_.push(back.deadline, std::move(back));
+      Record& rec = records_.at(back.uid);
+      rec.queued = queue_.push(back.deadline, std::move(back));
     }
   }
 
@@ -114,7 +108,6 @@ void SrtEngine::pump() {
 
   std::optional<Message> next = queue_.pop();
   assert(next);
-  queued_handles_.erase(next->uid);
   start_transmission(std::move(*next));
 }
 
@@ -131,8 +124,8 @@ void SrtEngine::start_transmission(Message msg) {
   if (!result) {
     // Controller unavailable (bus-off / mailboxes exhausted): report and
     // drop; the application reacts via its exception handler.
-    raise(msg.etag, ChannelError::kBusOff);
-    timers_.erase(uid);
+    raise_on(msg.etag, ChannelError::kBusOff);
+    records_.erase(uid);
     pump();
     return;
   }
@@ -161,9 +154,6 @@ void SrtEngine::on_promotion_due() {
       in_flight_->current_priority = target;
       in_flight_->msg.frame.id = new_id;
       ++counters_.promotions;
-      Logger::instance().logf(LogLevel::kDebug, now_local, "srt",
-                              "etag %u promoted to band %u",
-                              in_flight_->msg.etag, target);
     } else {
       // Frame currently on the wire; if the transmission fails the retry
       // happens at the old band until the next boundary.
@@ -189,75 +179,57 @@ void SrtEngine::on_tx_result(std::uint64_t uid, bool success) {
     ++counters_.sent;
     if (now_local <= msg.deadline) ++counters_.sent_by_deadline;
   } else {
-    raise(msg.etag, ChannelError::kBusOff);
+    raise_on(msg.etag, ChannelError::kBusOff);
   }
-  const auto t = timers_.find(uid);
-  if (t != timers_.end()) {
-    ctx_.sim.cancel(t->second.deadline);
-    ctx_.sim.cancel(t->second.expiration);
-    timers_.erase(t);
-  }
+  const auto rec = records_.find(uid);
+  assert(rec != records_.end());
+  ctx_.sim.cancel(rec->second.deadline);
+  ctx_.sim.cancel(rec->second.expiration);
+  records_.erase(rec);
   pump();
 }
 
 void SrtEngine::on_deadline(std::uint64_t uid) {
   // Still queued or in flight at the deadline → awareness notification;
   // the message keeps competing until its expiration (§2.2.2).
-  const bool queued = queued_handles_.contains(uid);
-  const bool flying = in_flight_ && in_flight_->msg.uid == uid;
-  if (!queued && !flying) return;
-  auto t = timers_.find(uid);
-  if (t == timers_.end() || t->second.deadline_reported) return;
-  t->second.deadline_reported = true;
+  const auto rec = records_.find(uid);
+  if (rec == records_.end()) return;
   ++counters_.deadline_missed;
-  Logger::instance().logf(LogLevel::kInfo, ctx_.clock.now(), "srt",
-                          "etag %u missed its transmission deadline",
-                          t->second.etag);
-  raise(t->second.etag, ChannelError::kDeadlineMissed);
+  raise_on(rec->second.etag, ChannelError::kDeadlineMissed);
 }
 
 void SrtEngine::on_expiration(std::uint64_t uid) {
   // Validity gone: remove from the local send queue entirely (§2.2.2).
-  if (const auto h = queued_handles_.find(uid); h != queued_handles_.end()) {
-    if (auto msg = queue_.remove(h->second)) {
-      queued_handles_.erase(uid);
-      timers_.erase(uid);
-      ++counters_.expired;
-      raise(msg->etag, ChannelError::kExpired);
-      return;
-    }
-  }
-  if (in_flight_ && in_flight_->msg.uid == uid) {
+  const auto rec = records_.find(uid);
+  if (rec == records_.end()) return;
+  const bool flying = in_flight_ && in_flight_->msg.uid == uid;
+  if (flying) {
     // Try to pull it out of the mailbox; if it is on the wire it will
     // complete anyway (non-preemptable).
-    if (ctx_.controller.abort(in_flight_->mailbox)) {
-      const Etag etag = in_flight_->msg.etag;
-      in_flight_.reset();
-      ctx_.sim.cancel(promotion_timer_);
-      timers_.erase(uid);
-      ++counters_.expired;
-      raise(etag, ChannelError::kExpired);
-      pump();
-    }
+    if (!ctx_.controller.abort(in_flight_->mailbox)) return;
+    in_flight_.reset();
+    ctx_.sim.cancel(promotion_timer_);
+  } else {
+    [[maybe_unused]] const auto msg = queue_.remove(rec->second.queued);
+    assert(msg);
   }
+  const Etag etag = rec->second.etag;
+  records_.erase(rec);
+  ++counters_.expired;
+  raise_on(etag, ChannelError::kExpired);
+  if (flying) pump();
 }
 
-void SrtEngine::raise(Etag etag, ChannelError e) {
+void SrtEngine::raise_on(Etag etag, ChannelError e) {
   const auto it = publications_.find(etag);
-  if (it != publications_.end() && it->second.on_exception)
-    it->second.on_exception({e, it->second.subject, ctx_.clock.now()});
+  if (it != publications_.end()) it->second.raise(e, ctx_.clock.now());
 }
 
 Expected<SrtEngine::Subscription*, ChannelError> SrtEngine::subscribe(
     Subject subject, Etag etag, const AttributeList& attrs,
     NotificationHandler notify, ExceptionHandler on_exception) {
-  const std::size_t capacity =
-      attrs.get<attr::QueueCapacity>().value_or(attr::QueueCapacity{}).events;
-  auto sub = std::make_unique<Subscription>(subject, etag, capacity);
-  sub->local_only = attrs.has<attr::LocalOnly>();
-  sub->notify = std::move(notify);
-  sub->on_exception = std::move(on_exception);
-  subscriptions_.push_back(std::move(sub));
+  subscriptions_.push_back(std::make_unique<Subscription>(
+      subject, etag, attrs, std::move(notify), std::move(on_exception)));
   return subscriptions_.back().get();
 }
 
@@ -267,18 +239,17 @@ void SrtEngine::cancel_subscription(Subscription* sub) {
 
 void SrtEngine::on_frame(const CanIdFields& fields, const CanFrame& frame,
                          TimePoint, bool remote_origin) {
+  const auto bytes = frame.payload();
   for (const auto& sub : subscriptions_) {
     if (sub->cancelled || sub->etag != fields.etag) continue;
     if (sub->local_only && remote_origin) continue;
-    Event event;
-    event.subject = sub->subject;
-    event.content.assign(frame.data.begin(), frame.data.begin() + frame.dlc);
-    event.attributes.timestamp = ctx_.clock.now();
     // The frame itself carries no origin field; "remote" is inferred from
     // the forwarding gateway's TxNode (configured system-wide).
-    event.attributes.remote = remote_origin;
     ++counters_.delivered;
-    sub->deliver(std::move(event), ctx_.clock.now());
+    sub->deliver(
+        sub->received({bytes.begin(), bytes.end()}, ctx_.clock.now(),
+                      remote_origin),
+        ctx_.clock.now());
   }
 }
 

@@ -49,10 +49,7 @@ class SrtEngine {
     std::uint64_t delivered = 0;        ///< events handed to subscribers
   };
 
-  struct Subscription : SubscriptionBase {
-    using SubscriptionBase::SubscriptionBase;
-    bool cancelled = false;
-  };
+  using Subscription = SubscriptionBase;
 
   SrtEngine(const NodeContext& ctx, DeadlinePriorityMap::Config map_cfg);
 
@@ -83,12 +80,10 @@ class SrtEngine {
   }
 
  private:
-  struct Publication {
-    Subject subject;
-    Etag etag = 0;
+  struct Publication : ChannelEnd {
+    using ChannelEnd::ChannelEnd;
     Duration default_deadline = Duration::milliseconds(10);
     Duration default_expiration = Duration::milliseconds(20);
-    ExceptionHandler on_exception;
   };
 
   struct Message {
@@ -106,6 +101,17 @@ class SrtEngine {
     Priority current_priority = kSrtPriorityMax;
   };
 
+  /// One message's bookkeeping, keyed by uid. A record exists exactly
+  /// while its message is queued or in flight: every path that drops a
+  /// message erases it.
+  struct Record {
+    Etag etag = 0;
+    /// Position in queue_; stale while the message is in flight.
+    EdfQueue<Message>::Handle queued;
+    Simulator::TimerHandle deadline;
+    Simulator::TimerHandle expiration;
+  };
+
   void pump();
   void start_transmission(Message msg);
   void arm_promotion();
@@ -113,22 +119,17 @@ class SrtEngine {
   void on_tx_result(std::uint64_t uid, bool success);
   void on_deadline(std::uint64_t uid);
   void on_expiration(std::uint64_t uid);
-  void raise(Etag etag, ChannelError e);
+  /// Raises `e` on the publication of `etag`, if it still exists: queued
+  /// messages outlive cancel_publication().
+  void raise_on(Etag etag, ChannelError e);
 
   NodeContext ctx_;
   DeadlinePriorityMap map_;
   std::map<Etag, Publication> publications_;
   EdfQueue<Message> queue_;
-  std::map<std::uint64_t, EdfQueue<Message>::Handle> queued_handles_;
   std::optional<InFlight> in_flight_;
   Simulator::TimerHandle promotion_timer_;
-  struct MsgTimers {
-    Simulator::TimerHandle deadline;
-    Simulator::TimerHandle expiration;
-    Etag etag = 0;
-    bool deadline_reported = false;
-  };
-  std::map<std::uint64_t, MsgTimers> timers_;
+  std::map<std::uint64_t, Record> records_;
   std::vector<std::unique_ptr<Subscription>> subscriptions_;
   std::uint64_t next_uid_ = 1;
   Counters counters_;

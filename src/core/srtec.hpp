@@ -1,8 +1,6 @@
 #pragma once
 
-#include <optional>
-
-#include "core/middleware.hpp"
+#include "core/channel.hpp"
 
 /// \file srtec.hpp
 /// Soft real-time event channel — the application-facing class of Fig. 2.
@@ -11,43 +9,16 @@
 /// attributes (or inherit channel defaults from attr::Deadline /
 /// attr::Expiration), are scheduled EDF on the bus, and the exception
 /// handler reports kDeadlineMissed / kExpired for awareness (§2.2.2).
+///
+/// The calls are EventChannel's (core/channel.hpp). For this class:
+/// - cancelPublication() is listed explicitly in Fig. 2 (no network
+///   resources are reserved, so it is purely local bookkeeping);
+/// - publish() queues the event for EDF transmission.
+///   `event.attributes.deadline` and `.expiration` may be absolute local
+///   times; TimePoint::max() applies the channel defaults.
 
 namespace rtec {
 
-class Srtec {
- public:
-  explicit Srtec(Middleware& mw) : mw_{mw} {}
-  Srtec(const Srtec&) = delete;
-  Srtec& operator=(const Srtec&) = delete;
-  ~Srtec();
-
-  Expected<void, ChannelError> announce(Subject subject,
-                                        const AttributeList& attrs,
-                                        ExceptionHandler exception_handler);
-
-  /// Fig. 2 lists cancelPublication() explicitly for SRTECs (no network
-  /// resources are reserved, so this is purely local bookkeeping).
-  Expected<void, ChannelError> cancelPublication();
-
-  /// Queues the event for EDF transmission. `event.attributes.deadline`
-  /// and `.expiration` may be absolute local times; TimePoint::max()
-  /// applies the channel defaults.
-  Expected<void, ChannelError> publish(Event event);
-
-  Expected<void, ChannelError> subscribe(Subject subject,
-                                         const AttributeList& attrs,
-                                         NotificationHandler not_handler,
-                                         ExceptionHandler exception_handler);
-  Expected<void, ChannelError> cancelSubscription();
-
-  [[nodiscard]] std::optional<Event> getEvent();
-  [[nodiscard]] std::optional<Subject> subject() const { return subject_; }
-
- private:
-  Middleware& mw_;
-  std::optional<Subject> subject_;
-  std::optional<Etag> announced_;
-  SrtEngine::Subscription* sub_ = nullptr;
-};
+using Srtec = EventChannel<SrtEngine>;
 
 }  // namespace rtec

@@ -4,14 +4,17 @@
 #include <optional>
 #include <vector>
 
+#include "core/attributes.hpp"
 #include "core/errors.hpp"
 #include "core/event.hpp"
 
 /// \file subscription.hpp
-/// Subscriber-side event buffering: the "predefined memory area" of §2.2.1
-/// in which the middleware stores an event before invoking the
-/// application's notification handler, which then retrieves it with
-/// getEvent().
+/// Per-channel bookkeeping the three class engines share: the channel end
+/// (subject, etag, exception handler) of every publication and
+/// subscription, and the subscriber-side event buffering — the "predefined
+/// memory area" of §2.2.1 in which the middleware stores an event before
+/// invoking the application's notification handler, which then retrieves
+/// it with getEvent().
 
 namespace rtec {
 
@@ -47,24 +50,55 @@ class EventQueue {
   std::size_t size_ = 0;
 };
 
-/// State common to subscriptions of every channel class.
-struct SubscriptionBase {
+/// One end of a channel on this node, publication or subscription, of any
+/// class: what the application's exception handler reports about.
+struct ChannelEnd {
   Subject subject;
-  std::uint16_t etag = 0;
-  bool local_only = false;
-  EventQueue queue;
-  NotificationHandler notify;
+  Etag etag = 0;
   ExceptionHandler on_exception;
 
-  SubscriptionBase(Subject s, std::uint16_t tag, std::size_t queue_capacity)
-      : subject{s}, etag{tag}, queue{queue_capacity} {}
+  ChannelEnd(Subject s, Etag tag, ExceptionHandler handler)
+      : subject{s}, etag{tag}, on_exception{std::move(handler)} {}
+
+  /// Reports `e`, detected at local time `now`, to the application.
+  void raise(ChannelError e, TimePoint now) const {
+    if (on_exception) on_exception({e, subject, now});
+  }
+};
+
+/// State common to subscriptions of every channel class, set up from the
+/// subscribe() attribute list (attr::QueueCapacity, attr::LocalOnly).
+struct SubscriptionBase : ChannelEnd {
+  bool local_only = false;
+  bool cancelled = false;
+  EventQueue queue;
+  NotificationHandler notify;
+
+  SubscriptionBase(Subject s, Etag tag, const AttributeList& attrs,
+                   NotificationHandler not_handler,
+                   ExceptionHandler exception_handler)
+      : ChannelEnd{s, tag, std::move(exception_handler)},
+        local_only{attrs.has<attr::LocalOnly>()},
+        queue{attrs.get<attr::QueueCapacity>()
+                  .value_or(attr::QueueCapacity{})
+                  .events},
+        notify{std::move(not_handler)} {}
+
+  /// The event a received `content` becomes for this subscription, stamped
+  /// with the local reception time; `remote` marks a forwarded frame.
+  [[nodiscard]] Event received(std::vector<std::uint8_t> content,
+                               TimePoint now, bool remote) const {
+    Event e{subject, std::move(content)};
+    e.attributes.timestamp = now;
+    e.attributes.remote = remote;
+    return e;
+  }
 
   /// Stores + notifies; raises kQueueOverflow when the application is not
   /// draining fast enough.
   void deliver(Event e, TimePoint now) {
     if (!queue.push(std::move(e))) {
-      if (on_exception)
-        on_exception({ChannelError::kQueueOverflow, subject, now});
+      raise(ChannelError::kQueueOverflow, now);
       return;
     }
     if (notify) notify();

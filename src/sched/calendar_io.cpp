@@ -240,7 +240,7 @@ Expected<Calendar, CalendarIoError> calendar_from_text(
     // production time; a disagreeing stamp means the image was edited by
     // hand or produced against different bus parameters — reject rather
     // than trust either value (rtec_lint reports the same condition as
-    // RTEC-C003 without rejecting, for diagnosis).
+    // RTEC-C003).
     if (slot.declared_window_ns) {
       const SlotTiming t = calendar.timing(*reserved);
       const std::int64_t derived = (t.deadline_offset - t.ready_offset).ns();

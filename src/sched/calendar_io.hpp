@@ -29,8 +29,8 @@
 /// planner stamped when the image was produced. It is redundant — the
 /// window is derivable from dlc/k/bitrate — and exactly that redundancy
 /// makes a stale or tampered image detectable: the linter recomputes the
-/// window from sched/wctt and flags any declaration that no longer covers
-/// it (rule RTEC-C003).
+/// window from sched/wctt and flags any declaration that differs from it
+/// (rule RTEC-C003), and calendar_from_text refuses such an image.
 ///
 /// Loading an image is a two-stage pipeline:
 ///   1. parse_calendar_image — strict *syntactic* parse into a raw

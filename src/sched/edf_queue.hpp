@@ -39,10 +39,6 @@ class EdfQueue {
   [[nodiscard]] const T* peek() const {
     return entries_.empty() ? nullptr : &entries_.begin()->second;
   }
-  [[nodiscard]] std::optional<Handle> peek_handle() const {
-    if (entries_.empty()) return std::nullopt;
-    return entries_.begin()->first;
-  }
   [[nodiscard]] TimePoint earliest_deadline() const {
     assert(!entries_.empty());
     return entries_.begin()->first.deadline;

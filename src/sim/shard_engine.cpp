@@ -445,10 +445,4 @@ void ShardEngine::run_until(TimePoint t) {
   for (Simulator* s : shards_) s->run_until(t);
 }
 
-void ShardEngine::reset_stats() {
-  stats_ = Stats{};
-  stats_.per_shard_runs.assign(shards_.size(), 0);
-  stats_.per_shard_skips.assign(shards_.size(), 0);
-}
-
 }  // namespace rtec

@@ -130,8 +130,7 @@ class ShardEngine {
 
   /// Engine activity counters. CUMULATIVE across run_until() calls for
   /// the engine's lifetime (a scenario typically calls run_until many
-  /// times while draining streams); call reset_stats() to start a fresh
-  /// measurement window, e.g. after warm-up.
+  /// times while draining streams).
   ///
   /// Everything here except the two barrier counters is a pure function
   /// of the scenario (bit-identical across thread counts). barrier_spins
@@ -157,8 +156,6 @@ class ShardEngine {
     std::vector<std::uint64_t> per_shard_skips;  ///< indexed by shard
   };
   [[nodiscard]] const Stats& stats() const { return stats_; }
-  /// Zeroes every counter (the per-shard vectors keep their size).
-  void reset_stats();
 
  private:
   friend class EpochPool;

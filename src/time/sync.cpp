@@ -46,7 +46,6 @@ void SyncMaster::run_round() {
         follow.dlc = 8;
         store_le_i64({follow.data.data(), 8}, master_ts.ns());
         (void)controller_.submit(follow, TxMode::kAutoRetransmit);
-        ++rounds_sent_;
       });
 
   next_local_ += cfg_.period;

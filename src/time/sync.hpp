@@ -62,8 +62,6 @@ class SyncMaster {
 
   void stop();
 
-  [[nodiscard]] std::uint64_t rounds_sent() const { return rounds_sent_; }
-
  private:
   void run_round();
 
@@ -73,7 +71,6 @@ class SyncMaster {
   SyncConfig cfg_;
   Simulator::TimerHandle timer_;
   TimePoint next_local_;
-  std::uint64_t rounds_sent_ = 0;
   bool running_ = false;
 };
 

@@ -547,22 +547,10 @@ std::string rteb_from_candump(const std::string& text, std::uint16_t network,
 // RtebRecorder
 // ---------------------------------------------------------------------------
 
-namespace {
-void attach(RtebWriter& w, CanBus& bus) {
-  RtebWriter* wp = &w;
-  bus.add_observer([wp](const CanBus::FrameEvent& ev) { wp->add_frame(ev); });
-}
-}  // namespace
-
 RtebRecorder::RtebRecorder(CanBus& bus, std::uint16_t network)
     : writer_{network} {
-  attach(writer_, bus);
-}
-
-RtebRecorder::RtebRecorder(CanBus& bus, std::uint16_t network,
-                           const std::string& path)
-    : writer_{path, network} {
-  attach(writer_, bus);
+  RtebWriter* wp = &writer_;
+  bus.add_observer([wp](const CanBus::FrameEvent& ev) { wp->add_frame(ev); });
 }
 
 }  // namespace trace

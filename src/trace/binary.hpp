@@ -260,18 +260,14 @@ class RtebRecorder {
  public:
   /// Memory-backed capture.
   RtebRecorder(CanBus& bus, std::uint16_t network);
-  /// File-backed capture with bounded buffering.
-  RtebRecorder(CanBus& bus, std::uint16_t network, const std::string& path);
 
   RtebRecorder(const RtebRecorder&) = delete;
   RtebRecorder& operator=(const RtebRecorder&) = delete;
 
   [[nodiscard]] RtebWriter& writer() { return writer_; }
   [[nodiscard]] const RtebWriter& writer() const { return writer_; }
-  /// Memory-backed captures: the stream so far (see RtebWriter::bytes).
+  /// The stream so far (see RtebWriter::bytes).
   [[nodiscard]] const std::string& bytes() const { return writer_.bytes(); }
-  /// Flushes the file sink; returns io_ok().
-  bool finish() { return writer_.finish(); }
 
  private:
   RtebWriter writer_;

@@ -24,7 +24,6 @@ class Histogram {
   [[nodiscard]] std::size_t count() const { return total_; }
   [[nodiscard]] std::size_t underflow() const { return underflow_; }
   [[nodiscard]] std::size_t overflow() const { return overflow_; }
-  [[nodiscard]] std::size_t bucket_count() const { return counts_.size(); }
   [[nodiscard]] std::size_t bucket(std::size_t i) const { return counts_[i]; }
   [[nodiscard]] double bucket_lo(std::size_t i) const;
 

@@ -129,15 +129,17 @@ TEST(Lint, C003FiresWhenDeclaredWindowUndersizesWctt) {
   EXPECT_EQ(f.severity, Severity::kError);
 }
 
-TEST(Lint, C003WarnsWhenDeclaredWindowOverReserves) {
+TEST(Lint, C003FiresWhenDeclaredWindowOverReserves) {
+  // The loader refuses any stamp that differs from the derived window, so
+  // an over-reserving stamp is an error too.
   CalendarImage image = base_image();
   ImageSlot slot = mk_slot(1'000, 8, 1, 10, 1);
   slot.declared_window_ns = 600'000;
   image.slots.push_back(slot);
   const LintReport report = lint_calendar(image);
   const Finding& f = find_rule(report, Rule::kWcttCoverage);
-  EXPECT_EQ(f.severity, Severity::kWarning);
-  EXPECT_FALSE(report.has_errors());
+  EXPECT_EQ(f.severity, Severity::kError);
+  EXPECT_NE(f.message.find("over-reserves"), std::string::npos) << f.message;
 }
 
 TEST(Lint, C003PassesWhenDeclaredWindowMatches) {

@@ -340,21 +340,35 @@ TEST(ParserFuzz, CalendarIntoLintAndAdmission) {
         }
         const LintReport report = analysis::lint_calendar(*image);
         c.check(report, doc);
-        // RTEC-C008 keeps the linter and the admission test in step. The
-        // loader alone also refuses an over-reserving window stamp, which
-        // RTEC-C003 only warns about.
-        const bool stale_stamp = std::any_of(
-            report.findings.begin(), report.findings.end(),
-            [](const analysis::Finding& f) {
-              return f.rule == analysis::Rule::kWcttCoverage;
-            });
-        if (!report.has_errors() && !stale_stamp && !calendar)
+        // RTEC-C008 keeps the linter and the admission test in step, and
+        // RTEC-C003 refuses every window stamp the loader refuses.
+        if (!report.has_errors() && !calendar)
           c.fail("lint-clean image refused by admission: " +
                      calendar.error().message,
                  doc);
         c.check(analysis::lint_scenario(*image, *scenario), doc);
         return true;
       });
+}
+
+// One verdict for a stale window stamp: the loader and the linter both
+// refuse tools/fixtures/stale_window.cal.
+TEST(ParserFuzz, StaleWindowFixtureRefusedByLoaderAndLinter) {
+  const std::string doc = fixture("stale_window.cal");
+  const auto calendar = calendar_from_text(doc);
+  ASSERT_FALSE(calendar.has_value());
+  EXPECT_NE(calendar.error().message.find("declared window_ns=510000"),
+            std::string::npos)
+      << calendar.error().message;
+  const auto image = parse_calendar_image(doc);
+  ASSERT_TRUE(image.has_value());
+  const LintReport report = analysis::lint_calendar(*image);
+  EXPECT_TRUE(report.has_errors());
+  EXPECT_TRUE(std::any_of(report.findings.begin(), report.findings.end(),
+                          [](const analysis::Finding& f) {
+                            return f.rule == analysis::Rule::kWcttCoverage &&
+                                   f.severity == analysis::Severity::kError;
+                          }));
 }
 
 TEST(ParserFuzz, ScenarioIntoLint) {

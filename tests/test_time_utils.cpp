@@ -1,9 +1,6 @@
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-
 #include "time/periodic.hpp"
-#include "util/logging.hpp"
 
 namespace rtec {
 namespace {
@@ -100,34 +97,6 @@ TEST(PeriodicLocalTask, RestartAfterStop) {
   task.start_at(clk.now() + 5_ms);
   sim.run_until(TimePoint::origin() + 10_ms);
   EXPECT_GT(fires, so_far);
-}
-
-// --------------------------------------------------------------- logging
-
-TEST(Logging, LevelGating) {
-  Logger& log = Logger::instance();
-  log.set_level(LogLevel::kWarn);
-  EXPECT_TRUE(log.enabled(LogLevel::kError));
-  EXPECT_TRUE(log.enabled(LogLevel::kWarn));
-  EXPECT_FALSE(log.enabled(LogLevel::kInfo));
-  EXPECT_FALSE(log.enabled(LogLevel::kDebug));
-  log.set_level(LogLevel::kOff);
-  EXPECT_FALSE(log.enabled(LogLevel::kError));
-}
-
-TEST(Logging, InitFromEnv) {
-  Logger& log = Logger::instance();
-  ::setenv("RTEC_LOG", "debug", 1);
-  log.init_from_env();
-  EXPECT_EQ(log.level(), LogLevel::kDebug);
-  ::setenv("RTEC_LOG", "warn", 1);
-  log.init_from_env();
-  EXPECT_EQ(log.level(), LogLevel::kWarn);
-  ::setenv("RTEC_LOG", "nonsense", 1);
-  log.init_from_env();
-  EXPECT_EQ(log.level(), LogLevel::kOff);
-  ::unsetenv("RTEC_LOG");
-  log.set_level(LogLevel::kOff);
 }
 
 }  // namespace

@@ -1,16 +1,11 @@
 #include <gtest/gtest.h>
 
-#include "core/scenario.hpp"
-#include "core/srtec.hpp"
-#include "core/status.hpp"
 #include "trace/binary.hpp"
 #include "trace/histogram.hpp"
 #include "util/stats.hpp"
 
 namespace rtec {
 namespace {
-
-using literals::operator""_ms;
 
 // ------------------------------------------------------------ bus recorder
 
@@ -139,33 +134,6 @@ TEST(HistogramTest, QuantileAgreesWithSampleSetOnGridSamples) {
   }
   for (double q : {0.0, 0.1, 0.25, 0.5, 0.9, 0.99, 0.999, 1.0})
     EXPECT_DOUBLE_EQ(h.quantile(q), s.quantile(q)) << "q=" << q;
-}
-
-// ------------------------------------------------------------ status dumps
-
-TEST(Status, MiddlewareAndNodeDumpsContainCounters) {
-  Scenario scn;
-  Node& a = scn.add_node(1);
-  Node& b = scn.add_node(2);
-  Srtec pub{a.middleware()};
-  Srtec sub{b.middleware()};
-  ASSERT_TRUE(pub.announce(subject_of("st/x"), {}, nullptr).has_value());
-  ASSERT_TRUE(sub.subscribe(subject_of("st/x"), {}, nullptr, nullptr)
-                  .has_value());
-  Event e;
-  e.content = {1};
-  ASSERT_TRUE(pub.publish(std::move(e)).has_value());
-  scn.run_for(5_ms);
-
-  const std::string mw = middleware_status(a.middleware());
-  EXPECT_NE(mw.find("node 1 middleware:"), std::string::npos);
-  EXPECT_NE(mw.find("srt: published 1 sent 1 (by deadline 1)"),
-            std::string::npos);
-
-  const std::string ns = node_status(b);
-  EXPECT_NE(ns.find("node 2: local clock"), std::string::npos);
-  EXPECT_NE(ns.find("TEC 0 REC 0"), std::string::npos);
-  EXPECT_NE(ns.find("rx frames seen: 1"), std::string::npos);
 }
 
 }  // namespace
