@@ -19,9 +19,11 @@
 // rate empirically — rows use the binomial sample size for ±5% relative
 // precision at 99% confidence, n = z²(1−m)/(ε²m) with m = p^(k+1) —
 // because an admission verdict backed by a handful of observed misses is
-// not an answer. Quick mode (CI smoke) runs a fixed small grid instead
-// and skips the speedup gate; full mode is what BENCH_analytic.json
-// commits.
+// not an answer. Quick mode (CI smoke, the bench_analytic_quick ctest)
+// runs a fixed small grid instead; full mode is what BENCH_analytic.json
+// commits. In both modes the exit status is the worst-position quantile
+// gate alone: the speedup is printed, not gated, because wall time on a
+// shared host is noise.
 
 #include <algorithm>
 #include <chrono>
@@ -226,6 +228,5 @@ int main() {
   bench::note("minimum analytic-vs-simulation speedup: %.0fx%s",
               worst_speedup,
               quick ? " (quick mode: sims not certification-sized)" : "");
-  if (quick) return all_within ? 0 : 1;
-  return all_within && worst_speedup >= 1000.0 ? 0 : 1;
+  return all_within ? 0 : 1;
 }

@@ -18,13 +18,14 @@
 #include <cstdio>
 #include <functional>
 #include <memory>
+#include <optional>
 
 #include "baselines/ttcan.hpp"
 #include "bench/common.hpp"
 #include "bench/sweep.hpp"
 #include "core/hrtec.hpp"
 #include "core/scenario.hpp"
-#include "trace/metrics.hpp"
+#include "util/stats.hpp"
 
 using namespace rtec;
 using namespace rtec::literals;
@@ -38,6 +39,25 @@ struct JitterStats {
   double bits_per_round = 0;     // channel's bus usage
   std::size_t delivered = 0;
 };
+
+/// One scheme's figures from its latencies and its inter-delivery gaps,
+/// both in ns: each jitter is the peak-to-peak spread.
+JitterStats summarize(const SampleSet& latency, const OnlineStats& gaps,
+                      double bits_per_round) {
+  JitterStats s;
+  s.mean_latency_us = latency.mean() / 1e3;
+  s.latency_jitter_us = (latency.max() - latency.min()) / 1e3;
+  s.period_jitter_us = gaps.span() / 1e3;
+  s.bits_per_round = bits_per_round;
+  s.delivered = latency.count();
+  return s;
+}
+
+/// Adds the gap since the previous delivery, if any, and remembers `t`.
+void add_gap(OnlineStats& gaps, std::optional<TimePoint>& last, TimePoint t) {
+  if (last) gaps.add(static_cast<double>((t - *last).ns()));
+  last = t;
+}
 
 Node::ClockParams perfect() {
   Node::ClockParams p;
@@ -68,10 +88,12 @@ void run_ours(double p, int rounds, JitterStats& net, JitterStats& mw) {
   Hrtec sub{sub_node.middleware()};
   (void)pub.announce(subject, {}, nullptr);
 
-  LatencyProbe net_latency;
-  LatencyProbe mw_latency;
-  PeriodProbe net_period;
-  PeriodProbe mw_period;
+  SampleSet net_latency;
+  SampleSet mw_latency;
+  OnlineStats net_gaps;
+  OnlineStats mw_gaps;
+  std::optional<TimePoint> net_last;
+  std::optional<TimePoint> mw_last;
   std::int64_t hrt_bits = 0;
 
   TimePoint cur_ready;
@@ -79,16 +101,16 @@ void run_ours(double p, int rounds, JitterStats& net, JitterStats& mw) {
     if (id_priority(ev.frame.id) != kHrtPriority) return;
     hrt_bits += ev.wire_bits;
     if (ev.success) {
-      net_latency.record(ev.end - cur_ready);
-      net_period.record_delivery(ev.end);
+      net_latency.add(ev.end - cur_ready);
+      add_gap(net_gaps, net_last, ev.end);
     }
   });
   (void)sub.subscribe(subject, AttributeList{attr::QueueCapacity{8}},
                       [&] {
                         (void)sub.getEvent();
                         const TimePoint now = sub_node.clock().now();
-                        mw_latency.record(now - cur_ready);
-                        mw_period.record_delivery(now);
+                        mw_latency.add(now - cur_ready);
+                        add_gap(mw_gaps, mw_last, now);
                       },
                       nullptr);
 
@@ -105,16 +127,9 @@ void run_ours(double p, int rounds, JitterStats& net, JitterStats& mw) {
   }
   scn.run_for(cfg.calendar.round_length * rounds + 2_ms);
 
-  net.mean_latency_us = net_latency.samples().mean() / 1e3;
-  net.latency_jitter_us = net_latency.jitter().us();
-  net.period_jitter_us = net_period.period_jitter().us();
-  net.bits_per_round = static_cast<double>(hrt_bits) / rounds;
-  net.delivered = net_latency.samples().count();
-  mw.mean_latency_us = mw_latency.samples().mean() / 1e3;
-  mw.latency_jitter_us = mw_latency.jitter().us();
-  mw.period_jitter_us = mw_period.period_jitter().us();
-  mw.bits_per_round = net.bits_per_round;
-  mw.delivered = mw_latency.samples().count();
+  const double bits_per_round = static_cast<double>(hrt_bits) / rounds;
+  net = summarize(net_latency, net_gaps, bits_per_round);
+  mw = summarize(mw_latency, mw_gaps, bits_per_round);
 }
 
 JitterStats run_ttcan(double p, int rounds) {
@@ -146,8 +161,9 @@ JitterStats run_ttcan(double p, int rounds) {
     return f;
   });
 
-  LatencyProbe latency;
-  PeriodProbe period;
+  SampleSet latency;
+  OnlineStats gaps;
+  std::optional<TimePoint> last;
   std::int64_t bits = 0;
   std::uint64_t seen_cycle = ~0ull;
   bus.add_observer([&](const CanBus::FrameEvent& ev) {
@@ -160,20 +176,14 @@ JitterStats run_ttcan(double p, int rounds) {
     const TimePoint window_start =
         TimePoint::origin() +
         schedule.basic_cycle * static_cast<std::int64_t>(cycle) + 1_ms;
-    latency.record(ev.end - window_start);
-    period.record_delivery(ev.end);
+    latency.add(ev.end - window_start);
+    add_gap(gaps, last, ev.end);
   });
 
   driver.start();
   sim.run_until(TimePoint::origin() + schedule.basic_cycle * rounds + 2_ms);
 
-  JitterStats s;
-  s.mean_latency_us = latency.samples().mean() / 1e3;
-  s.latency_jitter_us = latency.jitter().us();
-  s.period_jitter_us = period.period_jitter().us();
-  s.bits_per_round = static_cast<double>(bits) / rounds;
-  s.delivered = latency.samples().count();
-  return s;
+  return summarize(latency, gaps, static_cast<double>(bits) / rounds);
 }
 
 }  // namespace

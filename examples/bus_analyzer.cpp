@@ -52,7 +52,7 @@ std::string record_demo() {
   slot.publisher = a.id();
   (void)scn.calendar().reserve(slot);
   (void)examples::lint_calendar_or_report(scn.calendar(), "bus_analyzer demo");
-  const trace::RtebRecorder& recorder = scn.record_rteb();
+  const trace::RtebWriter& recorder = scn.record_rteb();
 
   scn.run_for(20_ms);
   Hrtec pub{a.middleware()};

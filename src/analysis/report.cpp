@@ -1,8 +1,9 @@
 #include "analysis/report.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <sstream>
+
+#include "util/json.hpp"
 
 namespace rtec::analysis {
 
@@ -91,33 +92,6 @@ int LintReport::warning_count() const {
   return static_cast<int>(findings.size()) - error_count();
 }
 
-namespace {
-
-/// Minimal JSON string escaping (quotes, backslash, control characters).
-void append_json_string(std::ostringstream& out, std::string_view s) {
-  out << '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': out << "\\\""; break;
-      case '\\': out << "\\\\"; break;
-      case '\n': out << "\\n"; break;
-      case '\t': out << "\\t"; break;
-      case '\r': out << "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out << buf;
-        } else {
-          out << c;
-        }
-    }
-  }
-  out << '"';
-}
-
-}  // namespace
-
 std::string report_to_json(const LintReport& report, std::string_view tool) {
   std::ostringstream out;
   out << "{\n";
@@ -141,9 +115,9 @@ std::string report_to_json(const LintReport& report, std::string_view tool) {
     if (f.link >= 0) out << "      \"link\": " << f.link << ",\n";
     if (f.route >= 0) out << "      \"route\": " << f.route << ",\n";
     if (f.line > 0) out << "      \"line\": " << f.line << ",\n";
-    out << "      \"message\": ";
-    append_json_string(out, f.message);
-    out << "\n    }";
+    std::string message;
+    append_json_string(message, f.message);
+    out << "      \"message\": " << message << "\n    }";
   }
   out << (report.findings.empty() ? "]\n" : "\n  ]\n");
   out << "}\n";

@@ -77,11 +77,11 @@ GatewayLink Scenario::link_gateway(const Node& a, const Node& b,
                               forward_latency);
   channel_sources_.emplace_back(net_a, link.a_to_b);
   channel_sources_.emplace_back(net_b, link.b_to_a);
-  // A recorder attached before this link still sees its handoffs.
-  if (auto& rec = networks_[static_cast<std::size_t>(net_a)]->rteb)
-    hook_channel(*link.a_to_b, rec->writer());
-  if (auto& rec = networks_[static_cast<std::size_t>(net_b)]->rteb)
-    hook_channel(*link.b_to_a, rec->writer());
+  // A writer attached before this link still sees its handoffs.
+  if (auto& w = networks_[static_cast<std::size_t>(net_a)]->rteb)
+    hook_channel(*link.a_to_b, *w);
+  if (auto& w = networks_[static_cast<std::size_t>(net_b)]->rteb)
+    hook_channel(*link.b_to_a, *w);
   return link;
 }
 
@@ -128,30 +128,33 @@ AttackModel& Scenario::install_attack(std::unique_ptr<AttackModel> attack,
 trace::DetectorBank& Scenario::detectors(int network) {
   Network& net = *networks_.at(static_cast<std::size_t>(network));
   if (net.detector_bank == nullptr) {
-    net.tap = std::make_unique<trace::StreamTap>(net.bus);
     net.detector_bank = std::make_unique<trace::DetectorBank>();
-    net.tap->add(net.detector_bank.get());
+    trace::DetectorBank* bank = net.detector_bank.get();
+    net.bus.add_observer([bank](const CanBus::FrameEvent& ev) {
+      if (ev.success) bank->on_frame(ev);
+    });
   }
   return *net.detector_bank;
 }
 
 std::uint64_t Scenario::tapped_deliveries(int network) const {
   const Network& net = *networks_.at(static_cast<std::size_t>(network));
-  return net.tap ? net.tap->deliveries() : 0;
+  return net.detector_bank ? net.detector_bank->deliveries() : 0;
 }
 
 void Scenario::flush_streams() {
   const TimePoint t = now();
   for (const auto& net : networks_)
-    if (net->tap) net->tap->finish(t);
+    if (net->detector_bank) net->detector_bank->finish(t);
 }
 
-trace::RtebRecorder& Scenario::record_rteb(int network) {
+trace::RtebWriter& Scenario::record_rteb(int network) {
   Network& net = *networks_.at(static_cast<std::size_t>(network));
-  assert(net.rteb == nullptr && "one RTEB recorder per network");
-  net.rteb = std::make_unique<trace::RtebRecorder>(
-      net.bus, static_cast<std::uint16_t>(network));
-  trace::RtebWriter& w = net.rteb->writer();
+  assert(net.rteb == nullptr && "one RTEB writer per network");
+  net.rteb =
+      std::make_unique<trace::RtebWriter>(static_cast<std::uint16_t>(network));
+  trace::RtebWriter& w = *net.rteb;
+  net.bus.add_observer([&w](const CanBus::FrameEvent& ev) { w.add_frame(ev); });
   if (net.detector_bank != nullptr) {
     for (std::size_t i = 0; i < net.detector_bank->size(); ++i)
       net.detector_bank->at(i).set_alarm_sink([&w](const trace::Alarm& a) {
@@ -160,7 +163,7 @@ trace::RtebRecorder& Scenario::record_rteb(int network) {
   }
   for (const auto& [source, channel] : channel_sources_)
     if (source == network) hook_channel(*channel, w);
-  return *net.rteb;
+  return w;
 }
 
 void Scenario::export_metrics(trace::MetricsRegistry& reg) const {
@@ -177,10 +180,11 @@ void Scenario::export_metrics(trace::MetricsRegistry& reg) const {
     std::snprintf(prefix, sizeof prefix, "net%03zu", i);
     const std::string base{prefix};
     trace::export_metrics(reg, base + ".bus", net.bus);
-    if (net.tap) trace::export_metrics(reg, base + ".tap", *net.tap);
-    if (net.detector_bank)
+    if (net.detector_bank) {
+      reg.set(base + ".tap.deliveries", net.detector_bank->deliveries());
       trace::export_metrics(reg, base + ".detector", *net.detector_bank);
-    if (net.rteb) trace::export_metrics(reg, base + ".rteb", net.rteb->writer());
+    }
+    if (net.rteb) trace::export_metrics(reg, base + ".rteb", *net.rteb);
   }
 }
 

@@ -15,7 +15,6 @@
 #include "trace/binary.hpp"
 #include "trace/detectors.hpp"
 #include "trace/registry.hpp"
-#include "trace/stream.hpp"
 
 /// \file scenario.hpp
 /// Scenario — one simulated deployment: the kernel(s), one or more CAN
@@ -103,34 +102,35 @@ class Scenario {
                               int network = 0);
 
   /// The network's streaming detector bank (trace/detectors.hpp), created
-  /// on first use together with a StreamTap on the segment's bus. Add
-  /// detectors to it before running; call flush_streams() when done.
+  /// on first use together with the bus observer that feeds it the
+  /// segment's successful deliveries. Add detectors to it before running;
+  /// call flush_streams() when done.
   [[nodiscard]] trace::DetectorBank& detectors(int network = 0);
-  /// Successful deliveries the network's tap has fed to its observers
+  /// Successful deliveries the network's detector bank has been fed
   /// (0 when detectors() was never called for that network).
   [[nodiscard]] std::uint64_t tapped_deliveries(int network = 0) const;
 
-  /// Ends the streaming observers' input: flushes window state of every
-  /// detector bank at the current time. Call once after the final run.
+  /// Ends the detectors' input: flushes window state of every detector
+  /// bank at the current time. Call once after the final run.
   void flush_streams();
 
-  /// Attaches a memory-backed RTEB recorder (trace/binary.hpp) to one
-  /// network: every bus occupancy of that segment, every alarm of
-  /// detectors already in its bank, and every handoff posted on channels
-  /// sourced from it (linked before or after this call) stream into one
-  /// binary trace, byte-identical across shard/thread counts. Call after
-  /// adding the network's detectors — alarm sinks are wired at this point
-  /// (and replace any sink already set on them). One recorder per network.
-  trace::RtebRecorder& record_rteb(int network = 0);
-  /// The network's recorder, or nullptr when record_rteb was never called.
-  [[nodiscard]] trace::RtebRecorder* rteb(int network = 0) {
+  /// Records one network as a memory-backed RTEB stream (trace/binary.hpp):
+  /// every bus occupancy of that segment, every alarm of detectors already
+  /// in its bank, and every handoff posted on channels sourced from it
+  /// (linked before or after this call) go to one writer, byte-identical
+  /// across shard/thread counts. Call after adding the network's
+  /// detectors — alarm sinks are wired at this point (and replace any sink
+  /// already set on them). One writer per network.
+  trace::RtebWriter& record_rteb(int network = 0);
+  /// The network's writer, or nullptr when record_rteb was never called.
+  [[nodiscard]] trace::RtebWriter* rteb(int network = 0) {
     return networks_.at(static_cast<std::size_t>(network))->rteb.get();
   }
 
   /// Snapshots every counter the scenario can see into `reg` (metric
   /// catalog: docs/observability.md): per-shard kernel stats
   /// ("kernelNNN."), the parallel engine ("engine.") and each network's
-  /// bus / tap / detectors / RTEB writer ("netNNN.").
+  /// bus / detector deliveries ("tap") / detectors / RTEB writer ("netNNN.").
   void export_metrics(trace::MetricsRegistry& reg) const;
   /// export_metrics into a fresh registry, rendered as canonical JSON.
   [[nodiscard]] std::string metrics_json() const;
@@ -215,11 +215,10 @@ class Scenario {
     /// Adversary controllers keyed by node id (see install_attack).
     std::vector<std::unique_ptr<CanController>> attackers;
     std::vector<std::unique_ptr<AttackModel>> attacks;
-    /// Streaming observer plumbing, created lazily by detectors().
-    std::unique_ptr<trace::StreamTap> tap;
+    /// Created lazily by detectors().
     std::unique_ptr<trace::DetectorBank> detector_bank;
     /// Binary trace capture, created by record_rteb().
-    std::unique_ptr<trace::RtebRecorder> rteb;
+    std::unique_ptr<trace::RtebWriter> rteb;
   };
 
   Config cfg_;
@@ -236,7 +235,7 @@ class Scenario {
   /// Segments each id appears on — backs the id-unique compat lookups.
   std::map<NodeId, std::vector<int>> id_networks_;
   /// (source network, channel) for every gateway channel, so RTEB
-  /// recorders can hook handoff posts whichever of record_rteb /
+  /// writers can hook handoff posts whichever of record_rteb /
   /// link_gateway runs first.
   std::vector<std::pair<int, HandoffChannel*>> channel_sources_;
 };

@@ -119,42 +119,41 @@ RtebWriter::RtebWriter(const std::string& path, std::uint16_t network) {
 RtebWriter::~RtebWriter() { finish(); }
 
 void RtebWriter::write_header(std::uint16_t network) {
-  std::string h;
-  for (std::uint8_t b : kRtebMagic) h.push_back(static_cast<char>(b));
-  h.push_back(static_cast<char>(kRtebVersion & 0xFFu));
-  h.push_back(static_cast<char>(kRtebVersion >> 8));
-  h.push_back(static_cast<char>(network & 0xFFu));
-  h.push_back(static_cast<char>(network >> 8));
-  for (int i = 0; i < 4; ++i) h.push_back('\0');
-  assert(h.size() == kRtebHeaderSize);
-  sink(h.data(), h.size());
+  for (std::uint8_t b : kRtebMagic) buf_.push_back(static_cast<char>(b));
+  buf_.push_back(static_cast<char>(kRtebVersion & 0xFFu));
+  buf_.push_back(static_cast<char>(kRtebVersion >> 8));
+  buf_.push_back(static_cast<char>(network & 0xFFu));
+  buf_.push_back(static_cast<char>(network >> 8));
+  buf_.append(4, '\0');
+  assert(buf_.size() == kRtebHeaderSize);
 }
 
-void RtebWriter::sink(const char* data, std::size_t n) {
-  buf_.append(data, n);
-  bytes_written_ += n;
-  if (file_ != nullptr && buf_.size() > 64 * 1024) {
-    if (std::fwrite(buf_.data(), 1, buf_.size(), file_) != buf_.size())
-      io_ok_ = false;
-    buf_.clear();
-  }
+std::size_t RtebWriter::open_record(RtebKind kind, std::uint8_t flags) {
+  const std::size_t at = buf_.size();
+  buf_.push_back('\0');  // length, patched by close_record
+  buf_.push_back(static_cast<char>(
+      (static_cast<std::uint8_t>(kind) << kKindShift) | flags));
+  return at;
 }
 
-void RtebWriter::emit_record(const std::string& payload) {
-  assert(!payload.empty() && payload.size() <= 255 && "record overflows u8 length");
-  const char len = static_cast<char>(payload.size());
-  sink(&len, 1);
-  sink(payload.data(), payload.size());
+void RtebWriter::close_record(std::size_t at) {
+  const std::size_t len = buf_.size() - at - 1;
+  assert(len <= 255 && "record overflows u8 length");
+  buf_[at] = static_cast<char>(len);
   ++records_;
+  if (file_ != nullptr && buf_.size() > 64 * 1024) write_out();
+}
+
+void RtebWriter::write_out() {
+  if (std::fwrite(buf_.data(), 1, buf_.size(), file_) != buf_.size())
+    io_ok_ = false;
+  flushed_ += buf_.size();
+  buf_.clear();
 }
 
 bool RtebWriter::finish() {
   if (file_ != nullptr) {
-    if (!buf_.empty()) {
-      if (std::fwrite(buf_.data(), 1, buf_.size(), file_) != buf_.size())
-        io_ok_ = false;
-      buf_.clear();
-    }
+    if (!buf_.empty()) write_out();
     if (std::fclose(file_) != 0) io_ok_ = false;
     file_ = nullptr;
   }
@@ -224,24 +223,22 @@ void RtebWriter::add_frame(const CanBus::FrameEvent& ev) {
   if (meta_changed) flags |= kFrameMeta;
   if (payload_changed) flags |= kFramePayload;
 
-  std::string rec;
-  rec.push_back(static_cast<char>(
-      (static_cast<std::uint8_t>(RtebKind::kFrame) << kKindShift) | flags));
+  const std::size_t rec = open_record(RtebKind::kFrame, flags);
   if (new_id) {
-    put_varint(rec, ev.frame.id);
-    put_svarint(rec, t - prev_record_t_ns_);
+    put_varint(buf_, ev.frame.id);
+    put_svarint(buf_, t - prev_record_t_ns_);
   } else {
-    put_varint(rec, st->order);
-    put_svarint(rec, t - (st->last_t_ns + st->last_delta_ns));
+    put_varint(buf_, st->order);
+    put_svarint(buf_, t - (st->last_t_ns + st->last_delta_ns));
     st->last_delta_ns = t - st->last_t_ns;
   }
   st->last_t_ns = t;
   if (meta_changed) {
-    rec.push_back(static_cast<char>(ev.sender));
-    rec.push_back(static_cast<char>(format));
-    rec.push_back(static_cast<char>(ev.frame.dlc));
-    put_varint(rec, static_cast<std::uint64_t>(ev.wire_bits));
-    put_varint(rec, static_cast<std::uint64_t>(ev.attempt));
+    buf_.push_back(static_cast<char>(ev.sender));
+    buf_.push_back(static_cast<char>(format));
+    buf_.push_back(static_cast<char>(ev.frame.dlc));
+    put_varint(buf_, static_cast<std::uint64_t>(ev.wire_bits));
+    put_varint(buf_, static_cast<std::uint64_t>(ev.attempt));
     st->sender = ev.sender;
     st->meta_flags = format;
     st->dlc = ev.frame.dlc;
@@ -249,12 +246,12 @@ void RtebWriter::add_frame(const CanBus::FrameEvent& ev) {
     st->attempt = ev.attempt;
   }
   if (payload_changed) {
-    rec.append(reinterpret_cast<const char*>(ev.frame.data.data()),
-               ev.frame.dlc);
+    buf_.append(reinterpret_cast<const char*>(ev.frame.data.data()),
+                ev.frame.dlc);
     std::copy(ev.frame.data.begin(), ev.frame.data.begin() + ev.frame.dlc,
               st->payload.begin());
   }
-  emit_record(rec);
+  close_record(rec);
   prev_record_t_ns_ = t;
 }
 
@@ -265,7 +262,7 @@ void RtebWriter::add_frame(const CanBus::FrameEvent& ev) {
 /// alarm.
 void RtebWriter::add_alarm(const char* detector, TimePoint at,
                            std::uint32_t id, double score, bool unknown_id) {
-  const std::string name = detector != nullptr ? detector : "";
+  const std::string_view name = detector != nullptr ? detector : "";
   std::size_t index = detectors_.size();
   for (std::size_t i = 0; i < detectors_.size(); ++i) {
     if (detectors_[i] == name) {
@@ -274,23 +271,19 @@ void RtebWriter::add_alarm(const char* detector, TimePoint at,
     }
   }
   if (index == detectors_.size()) {
-    detectors_.push_back(name);
-    std::string def;
-    def.push_back(static_cast<char>(
-        static_cast<std::uint8_t>(RtebKind::kDetectorDef) << kKindShift));
-    def.append(name, 0, 253);  // u8 record length bounds the name
-    emit_record(def);
+    detectors_.emplace_back(name);
+    const std::size_t def = open_record(RtebKind::kDetectorDef, 0);
+    buf_.append(name.substr(0, 253));  // u8 record length bounds the name
+    close_record(def);
   }
 
-  std::string rec;
-  rec.push_back(static_cast<char>(
-      (static_cast<std::uint8_t>(RtebKind::kAlarm) << kKindShift) |
-      (unknown_id ? kAlarmUnknownId : 0u)));
-  put_varint(rec, index);
-  put_svarint(rec, at.ns() - prev_record_t_ns_);
-  put_varint(rec, id);
-  put_f64(rec, score);
-  emit_record(rec);
+  const std::size_t rec =
+      open_record(RtebKind::kAlarm, unknown_id ? kAlarmUnknownId : 0u);
+  put_varint(buf_, index);
+  put_svarint(buf_, at.ns() - prev_record_t_ns_);
+  put_varint(buf_, id);
+  put_f64(buf_, score);
+  close_record(rec);
   prev_record_t_ns_ = at.ns();
 }
 
@@ -310,19 +303,17 @@ void RtebWriter::add_handoff(TimePoint send, TimePoint release,
   if (latency_changed) flags |= kHandoffLatency;
   if (seq_irregular) flags |= kHandoffSeqResidual;
 
-  std::string rec;
-  rec.push_back(static_cast<char>(
-      (static_cast<std::uint8_t>(RtebKind::kHandoff) << kKindShift) | flags));
-  put_varint(rec, channel);
-  put_svarint(rec, send.ns() - prev_record_t_ns_);
+  const std::size_t rec = open_record(RtebKind::kHandoff, flags);
+  put_varint(buf_, channel);
+  put_svarint(buf_, send.ns() - prev_record_t_ns_);
   if (latency_changed) {
-    put_svarint(rec, latency);
+    put_svarint(buf_, latency);
     st.latency_ns = latency;
   }
   if (seq_irregular)
-    put_svarint(rec, static_cast<std::int64_t>(seq - st.next_seq));
+    put_svarint(buf_, static_cast<std::int64_t>(seq - st.next_seq));
   st.next_seq = seq + 1;
-  emit_record(rec);
+  close_record(rec);
   prev_record_t_ns_ = send.ns();
 }
 
@@ -541,16 +532,6 @@ std::string rteb_from_candump(const std::string& text, std::uint16_t network,
     w.add_frame(ev);
   }
   return w.bytes();
-}
-
-// ---------------------------------------------------------------------------
-// RtebRecorder
-// ---------------------------------------------------------------------------
-
-RtebRecorder::RtebRecorder(CanBus& bus, std::uint16_t network)
-    : writer_{network} {
-  RtebWriter* wp = &writer_;
-  bus.add_observer([wp](const CanBus::FrameEvent& ev) { wp->add_frame(ev); });
 }
 
 }  // namespace trace

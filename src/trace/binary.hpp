@@ -41,10 +41,11 @@
 /// >= 10x size reduction tests/test_rteb.cpp pins on periodic traffic.
 ///
 /// Determinism: the byte stream is a pure function of the record sequence
-/// fed to the writer. Each RtebRecorder captures exactly one network
-/// segment's events in that segment's deterministic execution order, so
-/// RTEB files are byte-identical across shard and thread counts (gated at
-/// 64 segments x shards {1,2} x threads {1,2,4} in tests/test_multiseg.cpp).
+/// fed to the writer. Scenario::record_rteb gives each recorded network
+/// segment one writer, fed by that segment's bus observer in its
+/// deterministic execution order, so RTEB files are byte-identical across
+/// shard and thread counts (gated at 64 segments x shards {1,2} x threads
+/// {1,2,4} in tests/test_multiseg.cpp).
 ///
 /// Wire layout (all integers little-endian; varint = LEB128, zigzag for
 /// signed values):
@@ -114,11 +115,12 @@ struct RtebRecord {
   RtebHandoff handoff;
 };
 
-/// Serializes records into the RTEB byte stream. Memory-backed by default
-/// (bytes() holds the whole stream — tests, byte-identity diffs); with a
-/// path the writer streams through a bounded buffer flushed to the file
+/// Serializes records into the RTEB byte stream, encoding each record in
+/// place at the end of its buffer. Memory-backed by default (bytes() holds
+/// the whole stream — tests, byte-identity diffs); with a path the writer
+/// streams through a bounded buffer flushed to the file, between records,
 /// whenever it exceeds ~64 KiB, so capture memory stays O(1) in the run
-/// length.
+/// length. To capture a bus, register add_frame as one of its observers.
 class RtebWriter {
  public:
   /// Memory-backed writer.
@@ -145,7 +147,9 @@ class RtebWriter {
   /// The full stream (memory-backed writers only; asserted).
   [[nodiscard]] const std::string& bytes() const;
   /// Bytes emitted so far, header included.
-  [[nodiscard]] std::uint64_t bytes_written() const { return bytes_written_; }
+  [[nodiscard]] std::uint64_t bytes_written() const {
+    return flushed_ + buf_.size();
+  }
   /// Records emitted so far (kDetectorDef bookkeeping records included).
   [[nodiscard]] std::uint64_t records() const { return records_; }
 
@@ -169,15 +173,21 @@ class RtebWriter {
   };
 
   void write_header(std::uint16_t network);
-  void emit_record(const std::string& payload);
-  void sink(const char* data, std::size_t n);
+  /// Appends the record's length byte (patched by close_record) and its
+  /// kindflags byte; returns the length byte's offset.
+  std::size_t open_record(RtebKind kind, std::uint8_t flags);
+  /// Patches the length of the record opened at `at` and counts it; a
+  /// file-backed writer then flushes a full buffer.
+  void close_record(std::size_t at);
+  /// Writes the buffer to the file and empties it.
+  void write_out();
   IdState* find_id(std::uint32_t id);
   ChannelState& find_channel(std::uint32_t channel);
 
   std::string buf_;          ///< memory stream, or the bounded file buffer
   std::FILE* file_ = nullptr;
   bool io_ok_ = true;
-  std::uint64_t bytes_written_ = 0;
+  std::uint64_t flushed_ = 0;  ///< bytes already written to the file
   std::uint64_t records_ = 0;
   std::int64_t prev_record_t_ns_ = 0;
   std::vector<IdState> ids_;            ///< sorted by id
@@ -250,28 +260,6 @@ class RtebReader {
 [[nodiscard]] std::string rteb_from_candump(
     const std::string& text, std::uint16_t network,
     std::size_t* skipped_lines = nullptr);
-
-/// Streams every bus occupancy of one network segment (successful,
-/// corrupted and collided attempts alike) into an RtebWriter, in the
-/// segment's deterministic event order. Gateway handoffs and detector
-/// alarms are appended through writer() by the scenario wiring
-/// (Scenario::record_rteb) or manually.
-class RtebRecorder {
- public:
-  /// Memory-backed capture.
-  RtebRecorder(CanBus& bus, std::uint16_t network);
-
-  RtebRecorder(const RtebRecorder&) = delete;
-  RtebRecorder& operator=(const RtebRecorder&) = delete;
-
-  [[nodiscard]] RtebWriter& writer() { return writer_; }
-  [[nodiscard]] const RtebWriter& writer() const { return writer_; }
-  /// The stream so far (see RtebWriter::bytes).
-  [[nodiscard]] const std::string& bytes() const { return writer_.bytes(); }
-
- private:
-  RtebWriter writer_;
-};
 
 }  // namespace trace
 }  // namespace rtec

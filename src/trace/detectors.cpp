@@ -38,19 +38,14 @@ Entry* admit_entry(std::vector<Entry>& ids, std::uint32_t id) {
 
 }  // namespace
 
-// -------------------------------------------------------------- MeanIatGate
+// -------------------------------------------------------------- IatDetector
 
-MeanIatGate::Entry* MeanIatGate::find_or_admit(std::uint32_t id, TimePoint t) {
-  if (Entry* e = find_entry(ids_, id)) return e;
+void IatDetector::on_frame(const CanBus::FrameEvent& ev) {
+  const TimePoint t = ev.end;
+  Entry* e = find_entry(ids_, ev.frame.id);
   // Admission closes with training: a profile cannot be learned any more,
   // so tracking the id would only grow state without enabling detection.
-  if (!in_training(t)) return nullptr;
-  return admit_entry(ids_, id);
-}
-
-void MeanIatGate::on_frame(const CanBus::FrameEvent& ev) {
-  const TimePoint t = ev.end;
-  Entry* e = find_or_admit(ev.frame.id, t);
+  if (e == nullptr && in_training(t)) e = admit_entry(ids_, ev.frame.id);
   if (e == nullptr) {
     if (!in_training(t)) raise(ev.frame.id, t, 0.0, /*unknown_id=*/true);
     return;
@@ -71,52 +66,25 @@ void MeanIatGate::on_frame(const CanBus::FrameEvent& ev) {
     return;
   }
   const double sigma = effective_sigma(e->train.mean(), e->train.stddev());
-  const double z = std::abs(dt - e->train.mean()) / sigma;
-  if (z > kSigmas) raise(ev.frame.id, t, z);
+  decide(*e, dt - e->train.mean(), sigma, t);
 }
 
-// ------------------------------------------------------------ CusumDetector
-
-CusumDetector::Entry* CusumDetector::find_or_admit(std::uint32_t id,
-                                                   TimePoint t) {
-  if (Entry* e = find_entry(ids_, id)) return e;
-  if (!in_training(t)) return nullptr;
-  return admit_entry(ids_, id);
+void MeanIatGate::decide(Entry& e, double dev, double sigma, TimePoint t) {
+  const double z = std::abs(dev) / sigma;
+  if (z > kSigmas) raise(e.id, t, z);
 }
 
-void CusumDetector::on_frame(const CanBus::FrameEvent& ev) {
-  const TimePoint t = ev.end;
-  Entry* e = find_or_admit(ev.frame.id, t);
-  if (e == nullptr) {
-    if (!in_training(t)) raise(ev.frame.id, t, 0.0, /*unknown_id=*/true);
-    return;
+void CusumDetector::decide(Entry& e, double dev, double sigma, TimePoint t) {
+  const double z = dev / sigma;
+  e.s_pos = std::max(0.0, e.s_pos + z - kDrift);
+  e.s_neg = std::max(0.0, e.s_neg - z - kDrift);
+  if (e.s_pos > kThreshold) {
+    raise(e.id, t, e.s_pos);
+    e.s_pos = 0.0;
   }
-  if (!e->has_last) {
-    e->has_last = true;
-    e->last = t;
-    return;
-  }
-  const double dt = static_cast<double>((t - e->last).ns());
-  e->last = t;
-  if (in_training(t)) {
-    e->train.add(dt);
-    return;
-  }
-  if (e->train.count() < kMinTrainSamples) {
-    raise(ev.frame.id, t, 0.0, /*unknown_id=*/true);
-    return;
-  }
-  const double sigma = effective_sigma(e->train.mean(), e->train.stddev());
-  const double z = (dt - e->train.mean()) / sigma;
-  e->s_pos = std::max(0.0, e->s_pos + z - kDrift);
-  e->s_neg = std::max(0.0, e->s_neg - z - kDrift);
-  if (e->s_pos > kThreshold) {
-    raise(ev.frame.id, t, e->s_pos);
-    e->s_pos = 0.0;
-  }
-  if (e->s_neg > kThreshold) {
-    raise(ev.frame.id, t, e->s_neg);
-    e->s_neg = 0.0;
+  if (e.s_neg > kThreshold) {
+    raise(e.id, t, e.s_neg);
+    e.s_neg = 0.0;
   }
 }
 

@@ -6,7 +6,7 @@
 #include <optional>
 #include <vector>
 
-#include "trace/stream.hpp"
+#include "canbus/bus.hpp"
 #include "util/stats.hpp"
 #include "util/time_types.hpp"
 
@@ -32,6 +32,10 @@
 ///                     of traffic (message suspension) promptly.
 ///
 /// Common rules:
+///  * Input: Scenario::detectors() feeds the bank one on_frame() per
+///    successful delivery, at end-of-frame simulated time, in bus order
+///    (corrupted attempts are filtered out), and flush_streams() calls
+///    finish() once when the run ends; afterwards a detector is only read.
 ///  * Bounded state: at most `kMaxTrackedIds` identifiers are learned
 ///    (admission closes when training ends); per-ID state is O(1). IDs
 ///    that arrive in detection without a trained profile raise an
@@ -61,11 +65,20 @@ struct Alarm {
 using AlarmSink = std::function<void(const Alarm&)>;
 
 /// Base class: training window, alarm accounting, alarm sink.
-class Detector : public StreamObserver {
+class Detector {
  public:
   explicit Detector(TimePoint train_until) : train_until_{train_until} {}
+  virtual ~Detector() = default;
+
+  Detector(const Detector&) = delete;
+  Detector& operator=(const Detector&) = delete;
 
   [[nodiscard]] virtual const char* name() const = 0;
+
+  /// One successful delivery (ev.success is always true here).
+  virtual void on_frame(const CanBus::FrameEvent& ev) = 0;
+  /// End of run at simulated time `now`; flush window state. Default: no-op.
+  virtual void finish(TimePoint now) { (void)now; }
 
   /// Receives every alarm as it fires (on top of the built-in counters).
   void set_alarm_sink(AlarmSink sink) { sink_ = std::move(sink); }
@@ -112,8 +125,39 @@ inline constexpr double kRelFloor = 0.05;
 /// so σ is floored at `kRelFloor` times the trained mean.
 [[nodiscard]] double effective_sigma(double mean, double stddev);
 
+/// The inter-arrival path the gate and CUSUM share: per-ID admission
+/// (closed when training ends), the first sighting, training of the IAT
+/// moments, and the unknown-id alarm for an ID without a trained profile.
+/// Each detection-phase IAT of a trained ID reaches decide(), the one
+/// thing the two detectors do differently.
+class IatDetector : public Detector {
+ public:
+  using Detector::Detector;
+
+  void on_frame(const CanBus::FrameEvent& ev) final;
+
+  [[nodiscard]] std::size_t tracked_ids() const { return ids_.size(); }
+
+ protected:
+  struct Entry {
+    std::uint32_t id = 0;
+    bool has_last = false;
+    TimePoint last;
+    OnlineStats train;  ///< IAT moments accumulated during training
+    double s_pos = 0.0;  ///< CUSUM decision statistics (unused by the gate)
+    double s_neg = 0.0;
+  };
+
+  /// One detection-phase arrival of a trained ID at `t`: `dev` is the IAT
+  /// minus the trained mean, `sigma` the effective σ.
+  virtual void decide(Entry& e, double dev, double sigma, TimePoint t) = 0;
+
+ private:
+  std::vector<Entry> ids_;  ///< sorted by id; bounded by kMaxTrackedIds
+};
+
 /// Per-frame mean/σ gate on inter-arrival times.
-class MeanIatGate final : public Detector {
+class MeanIatGate final : public IatDetector {
  public:
   /// Alarm when |dt - mean| > kSigmas · σ_eff.
   static constexpr double kSigmas = 4.0;
@@ -122,24 +166,12 @@ class MeanIatGate final : public Detector {
     TimePoint train_until;
   };
 
-  explicit MeanIatGate(Config cfg) : Detector{cfg.train_until} {}
+  explicit MeanIatGate(Config cfg) : IatDetector{cfg.train_until} {}
 
   [[nodiscard]] const char* name() const override { return "iat_gate"; }
-  void on_frame(const CanBus::FrameEvent& ev) override;
-
-  [[nodiscard]] std::size_t tracked_ids() const { return ids_.size(); }
 
  private:
-  struct Entry {
-    std::uint32_t id = 0;
-    bool has_last = false;
-    TimePoint last;
-    OnlineStats train;  ///< IAT moments accumulated during training
-  };
-
-  Entry* find_or_admit(std::uint32_t id, TimePoint t);
-
-  std::vector<Entry> ids_;  ///< sorted by id; bounded by kMaxTrackedIds
+  void decide(Entry& e, double dev, double sigma, TimePoint t) override;
 };
 
 /// Two-sided CUSUM on standardized IATs, per identifier. Each arrival
@@ -147,7 +179,7 @@ class MeanIatGate final : public Detector {
 /// S⁺ = max(0, S⁺ + z - kDrift) and S⁻ = max(0, S⁻ - z - kDrift) and
 /// alarm (then reset the tripped side) when either exceeds `kThreshold`.
 /// Catches sustained small rate shifts that stay inside a per-frame gate.
-class CusumDetector final : public Detector {
+class CusumDetector final : public IatDetector {
  public:
   static constexpr double kDrift = 0.5;      ///< slack per sample, in σ units
   static constexpr double kThreshold = 8.0;  ///< alarm level for S⁺ / S⁻
@@ -156,26 +188,12 @@ class CusumDetector final : public Detector {
     TimePoint train_until;
   };
 
-  explicit CusumDetector(Config cfg) : Detector{cfg.train_until} {}
+  explicit CusumDetector(Config cfg) : IatDetector{cfg.train_until} {}
 
   [[nodiscard]] const char* name() const override { return "cusum"; }
-  void on_frame(const CanBus::FrameEvent& ev) override;
-
-  [[nodiscard]] std::size_t tracked_ids() const { return ids_.size(); }
 
  private:
-  struct Entry {
-    std::uint32_t id = 0;
-    bool has_last = false;
-    TimePoint last;
-    OnlineStats train;
-    double s_pos = 0.0;
-    double s_neg = 0.0;
-  };
-
-  Entry* find_or_admit(std::uint32_t id, TimePoint t);
-
-  std::vector<Entry> ids_;
+  void decide(Entry& e, double dev, double sigma, TimePoint t) override;
 };
 
 /// Per-ID frame counts over tumbling windows, checked against the trained
@@ -224,22 +242,25 @@ class WindowFrequencyDetector final : public Detector {
 };
 
 /// Owns a set of detectors and fans the stream into all of them; the unit
-/// Scenario installs per network. Also a StreamObserver, so a bank nests
-/// under a StreamTap as one subscriber.
-class DetectorBank final : public StreamObserver {
+/// Scenario installs per network and feeds from its bus observer.
+class DetectorBank {
  public:
   Detector& add(std::unique_ptr<Detector> d) {
     detectors_.push_back(std::move(d));
     return *detectors_.back();
   }
 
-  void on_frame(const CanBus::FrameEvent& ev) override {
+  /// One successful delivery, counted and fed to every detector in order.
+  void on_frame(const CanBus::FrameEvent& ev) {
+    ++deliveries_;
     for (const auto& d : detectors_) d->on_frame(ev);
   }
-  void finish(TimePoint now) override {
+  void finish(TimePoint now) {
     for (const auto& d : detectors_) d->finish(now);
   }
 
+  /// Successful deliveries fed to the bank so far.
+  [[nodiscard]] std::uint64_t deliveries() const { return deliveries_; }
   [[nodiscard]] std::size_t size() const { return detectors_.size(); }
   [[nodiscard]] Detector& at(std::size_t i) { return *detectors_[i]; }
   [[nodiscard]] const Detector& at(std::size_t i) const {
@@ -248,6 +269,7 @@ class DetectorBank final : public StreamObserver {
 
  private:
   std::vector<std::unique_ptr<Detector>> detectors_;
+  std::uint64_t deliveries_ = 0;
 };
 
 }  // namespace trace

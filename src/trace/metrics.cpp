@@ -26,10 +26,4 @@ void ClassUtilization::reset() {
   errors_.fill(0);
 }
 
-void PeriodProbe::record_delivery(TimePoint t) {
-  if (has_prev_) periods_.add(static_cast<double>((t - prev_).ns()));
-  prev_ = t;
-  has_prev_ = true;
-}
-
 }  // namespace rtec

@@ -5,11 +5,10 @@
 
 #include "canbus/bus.hpp"
 #include "sched/id_codec.hpp"
-#include "util/stats.hpp"
 #include "util/time_types.hpp"
 
 /// \file metrics.hpp
-/// Bus- and stream-level measurement probes used by tests and benches.
+/// Bus-level measurement probe used by tests and benches.
 
 namespace rtec {
 
@@ -42,43 +41,6 @@ class ClassUtilization {
   std::array<Duration, 3> busy_{};
   std::array<std::uint64_t, 3> frames_{};
   std::array<std::uint64_t, 3> errors_{};
-};
-
-/// Records per-delivery latencies and derives the paper's jitter measures.
-class LatencyProbe {
- public:
-  void record(Duration latency) { samples_.add(latency); }
-
-  [[nodiscard]] const SampleSet& samples() const { return samples_; }
-  [[nodiscard]] Duration min() const { return Duration::nanoseconds(static_cast<std::int64_t>(samples_.min())); }
-  [[nodiscard]] Duration max() const { return Duration::nanoseconds(static_cast<std::int64_t>(samples_.max())); }
-  /// Latency jitter: peak-to-peak spread of the transport latency (§2.2
-  /// property 2).
-  [[nodiscard]] Duration jitter() const {
-    return Duration::nanoseconds(
-        static_cast<std::int64_t>(samples_.max() - samples_.min()));
-  }
-
- private:
-  SampleSet samples_;
-};
-
-/// Records absolute delivery instants of a periodic stream and derives the
-/// period jitter (§2.2 property 3: variance of the period).
-class PeriodProbe {
- public:
-  void record_delivery(TimePoint t);
-
-  [[nodiscard]] const OnlineStats& periods() const { return periods_; }
-  /// Peak-to-peak period jitter.
-  [[nodiscard]] Duration period_jitter() const {
-    return Duration::nanoseconds(static_cast<std::int64_t>(periods_.span()));
-  }
-
- private:
-  bool has_prev_ = false;
-  TimePoint prev_;
-  OnlineStats periods_;
 };
 
 }  // namespace rtec

@@ -4,36 +4,12 @@
 #include <cstdio>
 #include <fstream>
 
+#include "util/json.hpp"
+
 namespace rtec {
 namespace trace {
 
 namespace {
-
-/// Metric names are repo-controlled ([A-Za-z0-9._-]), but escape the JSON
-/// specials anyway so a stray name can never produce an unparsable
-/// snapshot.
-void append_json_string(std::string& out, const std::string& s) {
-  out.push_back('"');
-  for (const char ch : s) {
-    switch (ch) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(ch)));
-          out += buf;
-        } else {
-          out.push_back(ch);
-        }
-    }
-  }
-  out.push_back('"');
-}
 
 void append_value(std::string& out, const MetricsRegistry::Value& v) {
   char buf[64];
@@ -69,6 +45,8 @@ std::string MetricsRegistry::to_json() const {
     if (!first) out += ",\n";
     first = false;
     out += "  ";
+    // Names are repo-controlled ([A-Za-z0-9._-]); escaping anyway keeps a
+    // stray name from making the snapshot unparsable.
     append_json_string(out, name);
     out += ": ";
     append_value(out, value);
@@ -128,11 +106,6 @@ void export_metrics(MetricsRegistry& reg, const std::string& prefix,
   reg.set(prefix + ".busy_ns", bus.busy_time().ns());
   reg.set(prefix + ".error_ns", bus.error_time().ns());
   reg.set(prefix + ".utilization", bus.utilization());
-}
-
-void export_metrics(MetricsRegistry& reg, const std::string& prefix,
-                    const StreamTap& tap) {
-  reg.set(prefix + ".deliveries", tap.deliveries());
 }
 
 void export_metrics(MetricsRegistry& reg, const std::string& prefix,

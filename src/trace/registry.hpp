@@ -11,7 +11,6 @@
 #include "sim/simulator.hpp"
 #include "trace/binary.hpp"
 #include "trace/detectors.hpp"
-#include "trace/stream.hpp"
 
 /// \file registry.hpp
 /// Unified metrics registry: one flat, deterministic snapshot of every
@@ -82,8 +81,6 @@ void export_metrics(MetricsRegistry& reg, const std::string& prefix,
                     const ShardEngine& engine);
 void export_metrics(MetricsRegistry& reg, const std::string& prefix,
                     const CanBus& bus);
-void export_metrics(MetricsRegistry& reg, const std::string& prefix,
-                    const StreamTap& tap);
 void export_metrics(MetricsRegistry& reg, const std::string& prefix,
                     const Detector& det);
 void export_metrics(MetricsRegistry& reg, const std::string& prefix,

@@ -260,7 +260,7 @@ TEST(AttackScenario, SuspensionSilencesVictimForTheWindow) {
 TEST(AttackTrace, SpoofedFramesCandumpRoundTrip) {
   Scenario scn;
   scn.add_node(1);
-  const trace::RtebRecorder& rec = scn.record_rteb();
+  const trace::RtebWriter& rec = scn.record_rteb();
 
   SpoofingAttack::Config cfg;
   cfg.id = encode_can_id({10, 1, 77});

@@ -100,7 +100,9 @@ TEST(Candump, RecordReplayRoundTrip) {
     CanController b{sim, 2};
     bus.attach(a);
     bus.attach(b);
-    trace::RtebRecorder rec{bus, 0};
+    trace::RtebWriter rec{0};
+    bus.add_observer(
+        [&rec](const CanBus::FrameEvent& ev) { rec.add_frame(ev); });
     for (int i = 0; i < 5; ++i) {
       sim.schedule_at(TimePoint::origin() + 1_ms * i, [&a, i] {
         CanFrame f;

@@ -6,14 +6,13 @@
 #include "canbus/bus.hpp"
 #include "canbus/controller.hpp"
 #include "canbus/fault.hpp"
-#include "sim/simulator.hpp"
+#include "core/scenario.hpp"
 #include "trace/detectors.hpp"
-#include "trace/stream.hpp"
 
 /// Streaming anomaly detectors (trace/detectors.hpp): training vs
 /// detection behavior of each detector on synthetic event streams, the
-/// bounded-state contract, unknown-identifier handling, and the tap's
-/// delivered-frames-only filtering on a real bus.
+/// bounded-state contract, unknown-identifier handling, and the
+/// delivered-frames-only feed Scenario::detectors() wires on a real bus.
 
 namespace rtec {
 namespace {
@@ -37,10 +36,11 @@ CanBus::FrameEvent delivery(std::uint32_t id, TimePoint end) {
   return ev;
 }
 
-/// Feeds a periodic stream of `id` into `obs`: arrivals at from, from +
-/// period, ... strictly before `until`.
-void feed_periodic(trace::StreamObserver& obs, std::uint32_t id,
-                   Duration period, TimePoint from, TimePoint until) {
+/// Feeds a periodic stream of `id` into `obs` (a detector or a bank):
+/// arrivals at from, from + period, ... strictly before `until`.
+template <typename Observer>
+void feed_periodic(Observer& obs, std::uint32_t id, Duration period,
+                   TimePoint from, TimePoint until) {
   for (TimePoint t = from; t < until; t += period) obs.on_frame(delivery(id, t));
 }
 
@@ -222,31 +222,31 @@ TEST(Detectors, BankFansOutAndFinishes) {
   EXPECT_GT(win.alarm_count(), 0u);
 }
 
-TEST(StreamTap, FeedsOnlySuccessfulDeliveriesInBusOrder) {
-  Simulator sim;
-  CanBus bus{sim, BusConfig{}};
-  CanController a{sim, 1};
-  CanController b{sim, 2};
-  bus.attach(a);
-  bus.attach(b);
-  trace::StreamTap tap{bus};
+TEST(Detectors, BankFedOnlySuccessfulDeliveriesInBusOrder) {
+  Scenario scn;
+  CanController a{scn.sim(), 1};
+  CanController b{scn.sim(), 2};
+  scn.bus().attach(a);
+  scn.bus().attach(b);
 
-  struct Collector final : trace::StreamObserver {
+  struct Collector final : trace::Detector {
+    Collector() : Detector{TimePoint::origin()} {}
     std::vector<std::uint32_t> ids;
     TimePoint finished;
+    [[nodiscard]] const char* name() const override { return "collector"; }
     void on_frame(const CanBus::FrameEvent& ev) override {
       EXPECT_TRUE(ev.success);
       ids.push_back(ev.frame.id);
     }
     void finish(TimePoint now) override { finished = now; }
   };
-  Collector coll;
-  tap.add(&coll);
+  auto& coll = static_cast<Collector&>(
+      scn.detectors().add(std::make_unique<Collector>()));
 
   // First two attempts of the first frame are corrupted.
-  ScriptedFaults faults;
-  faults.add_rule([](const FaultContext& ctx) { return ctx.attempt <= 2; });
-  bus.set_fault_model(&faults);
+  auto faults = std::make_unique<ScriptedFaults>();
+  faults->add_rule([](const FaultContext& ctx) { return ctx.attempt <= 2; });
+  scn.set_fault_model(std::move(faults));
 
   CanFrame f1;
   f1.id = 0x200;
@@ -255,20 +255,20 @@ TEST(StreamTap, FeedsOnlySuccessfulDeliveriesInBusOrder) {
   f2.id = 0x100;
   f2.dlc = 1;
   ASSERT_TRUE(a.submit(f1, TxMode::kAutoRetransmit).has_value());
-  sim.schedule_at(at_ms(5), [&] {
+  scn.sim().schedule_at(at_ms(5), [&] {
     ASSERT_TRUE(b.submit(f2, TxMode::kAutoRetransmit).has_value());
   });
-  sim.run();
-  tap.finish(sim.now());
+  scn.run_until(at_ms(10));
+  scn.flush_streams();
 
   // Two successful deliveries in completion order; the corrupted attempts
   // (two per frame) were filtered but still counted by the bus.
-  EXPECT_EQ(tap.deliveries(), 2u);
+  EXPECT_EQ(scn.tapped_deliveries(), 2u);
   ASSERT_EQ(coll.ids.size(), 2u);
   EXPECT_EQ(coll.ids[0], 0x200u);
   EXPECT_EQ(coll.ids[1], 0x100u);
-  EXPECT_EQ(coll.finished, sim.now());
-  EXPECT_EQ(bus.frames_error(), 4u);
+  EXPECT_EQ(coll.finished, scn.now());
+  EXPECT_EQ(scn.bus().frames_error(), 4u);
 }
 
 }  // namespace

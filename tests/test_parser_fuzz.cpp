@@ -202,7 +202,7 @@ std::string recorded_rteb() {
   fuzz.from = TimePoint::origin() + 25_ms;
   fuzz.to = TimePoint::origin() + 40_ms;
   scn.install_attack(std::make_unique<FuzzingAttack>(fuzz), 9, 3);
-  const trace::RtebRecorder& rec = scn.record_rteb(0);
+  const trace::RtebWriter& rec = scn.record_rteb(0);
   Srtec pub{pub_node.middleware()};
   EXPECT_TRUE(pub.announce(subj, {}, nullptr).has_value());
   for (int i = 0; i < 30; ++i)
@@ -215,6 +215,26 @@ std::string recorded_rteb() {
         });
   scn.run_for(50_ms);
   return rec.bytes();
+}
+
+TEST(Rteb, RecordedScenarioStreamPinned) {
+  // Size, record count and FNV-1a of a trace holding every record kind,
+  // detector definitions included: any change to the encoder, to the
+  // order in which the scenario feeds it, or to the detectors' alarms
+  // moves one of them.
+  const std::string rteb = recorded_rteb();
+  std::size_t records = 0;
+  for (std::size_t pos = trace::kRtebHeaderSize; pos < rteb.size();
+       pos += std::size_t{1} + static_cast<std::uint8_t>(rteb[pos]))
+    ++records;
+  std::uint64_t fnv = 0xcbf29ce484222325ULL;
+  for (const char c : rteb) {
+    fnv ^= static_cast<std::uint8_t>(c);
+    fnv *= 0x100000001b3ULL;
+  }
+  EXPECT_EQ(rteb.size(), 704u);
+  EXPECT_EQ(records, 70u);
+  EXPECT_EQ(fnv, 0x5b8eab3b7f757e24ULL);
 }
 
 TEST(ParserFuzz, RtebReader) {

@@ -183,6 +183,57 @@ TEST(Rteb, AlarmAndHandoffRoundTrip) {
   }
 }
 
+TEST(Rteb, GoldenBytesPinAlarmAndHandoffRecords) {
+  // The alarm and handoff sequence of AlarmAndHandoffRoundTrip, without
+  // its frame: a round trip cannot see a change made to the writer and the
+  // reader alike, so these are the exact bytes.
+  RtebWriter w{0};
+  w.add_alarm("iat-gate", TimePoint::from_ns(1'500'000), 0x123, 3.75, false);
+  w.add_alarm("unknown-id", TimePoint::from_ns(1'600'000), 0x7FF, -0.5, true);
+  w.add_alarm("iat-gate", TimePoint::from_ns(1'700'000), 0x124, 4.25, false);
+  w.add_handoff(TimePoint::from_ns(2'000'000), TimePoint::from_ns(2'250'000),
+                9, 0);
+  w.add_handoff(TimePoint::from_ns(2'100'000), TimePoint::from_ns(2'350'000),
+                9, 1);
+  w.add_handoff(TimePoint::from_ns(2'200'000), TimePoint::from_ns(2'450'000),
+                9, 5);
+  w.add_handoff(TimePoint::from_ns(2'300'000), TimePoint::from_ns(2'800'000),
+                2, 0);
+
+  const std::uint8_t expected[] = {
+      // header, network 0
+      0x52, 0x54, 0x45, 0x42, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      // detector def (kind 4): the name bytes "iat-gate"
+      0x09, 0x80, 0x69, 0x61, 0x74, 0x2D, 0x67, 0x61, 0x74, 0x65,
+      // alarm (kind 2): detector 0, zigzag(1'500'000), id 0x123, 3.75 LE
+      0x10, 0x40, 0x00, 0xC0, 0x8D, 0xB7, 0x01, 0xA3, 0x02,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x0E, 0x40,
+      // detector def "unknown-id"
+      0x0B, 0x80, 0x75, 0x6E, 0x6B, 0x6E, 0x6F, 0x77, 0x6E, 0x2D, 0x69, 0x64,
+      // alarm, flag unknown-id: detector 1, zigzag(100'000), id 0x7FF, -0.5
+      0x0F, 0x41, 0x01, 0xC0, 0x9A, 0x0C, 0xFF, 0x0F,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xE0, 0xBF,
+      // alarm: the interned detector 0 again, id 0x124, 4.25
+      0x0F, 0x40, 0x00, 0xC0, 0x9A, 0x0C, 0xA4, 0x02,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x11, 0x40,
+      // handoff (kind 3), flag latency: channel 9, zigzag(300'000),
+      // zigzag(latency 250'000)
+      0x08, 0x61, 0x09, 0xC0, 0xCF, 0x24, 0xA0, 0xC2, 0x1E,
+      // steady state: channel 9, zigzag(100'000)
+      0x05, 0x60, 0x09, 0xC0, 0x9A, 0x0C,
+      // flag seq residual: zigzag(5 - 2)
+      0x06, 0x62, 0x09, 0xC0, 0x9A, 0x0C, 0x06,
+      // second channel 2: its own latency, zigzag(500'000)
+      0x08, 0x61, 0x02, 0xC0, 0x9A, 0x0C, 0xC0, 0x84, 0x3D,
+  };
+  EXPECT_EQ(w.records(), 9u);
+  EXPECT_EQ(w.bytes_written(), sizeof expected);
+  ASSERT_EQ(w.bytes().size(), sizeof expected);
+  for (std::size_t i = 0; i < sizeof expected; ++i)
+    EXPECT_EQ(static_cast<std::uint8_t>(w.bytes()[i]), expected[i])
+        << "byte " << i;
+}
+
 TEST(Rteb, EmptyTraceIsJustTheHeader) {
   RtebWriter w{3};
   EXPECT_EQ(w.bytes().size(), kRtebHeaderSize);
@@ -366,7 +417,8 @@ TEST(Rteb, RecorderCapturesCorruptedAttemptsCandumpCannot) {
   ScriptedFaults faults;  // corrupt the first attempt of every frame
   faults.add_rule([](const FaultContext& ctx) { return ctx.attempt == 1; });
   bus.set_fault_model(&faults);
-  RtebRecorder rec{bus, 0};
+  RtebWriter rec{0};
+  bus.add_observer([&rec](const CanBus::FrameEvent& ev) { rec.add_frame(ev); });
   std::size_t received = 0;
   b.add_rx_listener([&received](const CanFrame&, TimePoint) { ++received; });
 

@@ -7,7 +7,6 @@
 namespace rtec {
 namespace {
 
-using literals::operator""_us;
 using literals::operator""_ms;
 
 CanFrame frame_with_priority(Priority p, NodeId node) {
@@ -75,26 +74,6 @@ TEST(ClassUtilization, ResetRestartsTheWindow) {
   EXPECT_EQ(util.busy(TrafficClass::kSrt).ns(), 0);
   sim.run_until(TimePoint::origin() + 1_ms);
   EXPECT_DOUBLE_EQ(util.fraction(TrafficClass::kSrt), 0.0);
-}
-
-TEST(LatencyProbe, JitterIsPeakToPeak) {
-  LatencyProbe probe;
-  probe.record(100_us);
-  probe.record(150_us);
-  probe.record(120_us);
-  EXPECT_EQ(probe.min().ns(), (100_us).ns());
-  EXPECT_EQ(probe.max().ns(), (150_us).ns());
-  EXPECT_EQ(probe.jitter().ns(), (50_us).ns());
-}
-
-TEST(PeriodProbe, DerivesPeriodsFromDeliveryInstants) {
-  PeriodProbe probe;
-  probe.record_delivery(TimePoint::origin() + 10_ms);
-  probe.record_delivery(TimePoint::origin() + 20_ms);
-  probe.record_delivery(TimePoint::origin() + 31_ms);  // one late
-  probe.record_delivery(TimePoint::origin() + 40_ms);  // one early
-  EXPECT_EQ(probe.periods().count(), 3u);
-  EXPECT_EQ(probe.period_jitter().ns(), (2_ms).ns());  // 11 ms vs 9 ms
 }
 
 }  // namespace

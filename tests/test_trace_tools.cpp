@@ -14,11 +14,13 @@ struct RecorderFixture : ::testing::Test {
   CanBus bus{sim, BusConfig{}};
   CanController a{sim, 1};
   CanController b{sim, 2};
-  trace::RtebRecorder rec{bus, 0};
+  trace::RtebWriter rec{0};
 
   void SetUp() override {
     bus.attach(a);
     bus.attach(b);
+    bus.add_observer(
+        [this](const CanBus::FrameEvent& ev) { rec.add_frame(ev); });
   }
 
   void send(std::uint32_t id) {
