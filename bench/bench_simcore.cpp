@@ -1,9 +1,9 @@
 // Microbenchmarks (google-benchmark) of the simulation substrate itself:
 // event-queue throughput (schedule / cancel / fire isolated and combined),
-// exact frame-length computation, frame-accurate bus throughput, and
-// middleware publish-path cost. These bound how much simulated traffic the
-// experiment harnesses can afford and guard against performance
-// regressions in the kernel.
+// exact frame-length computation, frame-accurate bus throughput,
+// middleware publish-path cost, and RTEB trace decoding. These bound how
+// much simulated traffic the experiment harnesses can afford and guard
+// against performance regressions in the kernel.
 //
 // Results are mirrored to BENCH_simcore.json (items/s per benchmark) so the
 // perf trajectory is trackable PR-over-PR.
@@ -12,6 +12,7 @@
 
 #include <memory>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "bench/sweep.hpp"
@@ -19,6 +20,7 @@
 #include "core/scenario.hpp"
 #include "core/srtec.hpp"
 #include "sim/simulator.hpp"
+#include "trace/binary.hpp"
 #include "util/random.hpp"
 
 using namespace rtec;
@@ -237,6 +239,76 @@ void BM_SrtPublishPath(benchmark::State& state) {
   state.SetLabel("publish+tx+deliver");
 }
 BENCHMARK(BM_SrtPublishPath)->Unit(benchmark::kMillisecond);
+
+// ------------------------------------------------------------ trace decode
+
+// One fixed, seeded RTEB stream shaped like a recorded attack run: 16
+// periodic ids with jittered periods and a payload that changes on every
+// fourth frame, then a last quarter where a fuzzer adds a new identifier to
+// one frame in ten, and each fuzzed frame raises an alarm.
+const std::string& rteb_stream() {
+  static const std::string bytes = [] {
+    trace::RtebWriter w{0};
+    Rng rng{1};
+    CanBus::FrameEvent ev;
+    ev.frame.dlc = 8;
+    ev.success = true;
+    ev.wire_bits = 130;
+    ev.attempt = 1;
+    constexpr int kFrames = 1 << 16;
+    std::int64_t t_ns = 0;
+    for (int i = 0; i < kFrames; ++i) {
+      t_ns += 130'000 + rng.uniform_int(0, 2'000);
+      ev.end = TimePoint::from_ns(t_ns);
+      const bool fuzzed = i >= kFrames * 3 / 4 && rng.bernoulli(0.1);
+      if (fuzzed) {
+        ev.frame.id = static_cast<std::uint32_t>(
+            rng.uniform_int(0x1000, kMaxExtendedId));
+        ev.sender = 9;
+        ev.frame.data[1] = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
+      } else {
+        ev.frame.id = 0x100u + static_cast<std::uint32_t>(i % 16);
+        ev.sender = static_cast<NodeId>(1 + i % 16);
+        ev.frame.data[0] = static_cast<std::uint8_t>(i / 64);
+      }
+      w.add_frame(ev);
+      if (fuzzed) w.add_alarm("iat_gate", ev.end, ev.frame.id, 0.0, true);
+    }
+    return w.bytes();
+  }();
+  return bytes;
+}
+
+/// Records read_all decodes from rteb_stream().
+std::size_t rteb_stream_records() {
+  auto reader = trace::RtebReader::open(rteb_stream());
+  return reader->read_all()->size();
+}
+
+void BM_RtebReadAll(benchmark::State& state) {
+  const std::string& bytes = rteb_stream();
+  for (auto _ : state) {
+    auto reader = trace::RtebReader::open(bytes);
+    auto records = reader->read_all();
+    benchmark::DoNotOptimize(records->data());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(rteb_stream_records()));
+  state.SetLabel("records");
+}
+BENCHMARK(BM_RtebReadAll)->Unit(benchmark::kMillisecond);
+
+void BM_RtebToCandump(benchmark::State& state) {
+  const std::string& bytes = rteb_stream();
+  for (auto _ : state) {
+    auto text = trace::rteb_to_candump(bytes, "can0");
+    benchmark::DoNotOptimize(text->data());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(rteb_stream_records()));
+  state.SetLabel("records");
+}
+BENCHMARK(BM_RtebToCandump)->Unit(benchmark::kMillisecond);
 
 // ----------------------------------------------------------- JSON mirror
 

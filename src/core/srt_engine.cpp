@@ -122,10 +122,15 @@ void SrtEngine::start_transmission(Message msg) {
       [this, uid](CanController::MailboxId, const CanFrame&, bool success,
                   TimePoint) { on_tx_result(uid, success); });
   if (!result) {
-    // Controller unavailable (bus-off / mailboxes exhausted): report and
-    // drop; the application reacts via its exception handler.
+    // Controller unavailable (bus-off / mailboxes exhausted): drop the
+    // message with its timers and report; the application reacts via its
+    // exception handler.
+    const auto rec = records_.find(uid);
+    assert(rec != records_.end());
+    ctx_.sim.cancel(rec->second.deadline);
+    ctx_.sim.cancel(rec->second.expiration);
+    records_.erase(rec);
     raise_on(msg.etag, ChannelError::kBusOff);
-    records_.erase(uid);
     pump();
     return;
   }

@@ -343,34 +343,32 @@ std::string RtebReader::at_offset(const char* what) const {
   return std::string{what} + " at byte offset " + std::to_string(pos_);
 }
 
-Expected<std::optional<RtebRecord>, std::string> RtebReader::next() {
+const char* RtebReader::decode(RtebRecord& out, bool& end) {
   for (;;) {
-    if (pos_ == data_.size()) return std::optional<RtebRecord>{};
+    if (pos_ == data_.size()) {
+      end = true;
+      return nullptr;
+    }
     const std::size_t len = static_cast<std::uint8_t>(data_[pos_]);
-    if (len == 0) return Unexpected{at_offset("zero-length record")};
-    if (data_.size() - pos_ < 1 + len)
-      return Unexpected{at_offset("truncated record")};
+    if (len == 0) return "zero-length record";
+    if (data_.size() - pos_ < 1 + len) return "truncated record";
     Cursor c{reinterpret_cast<const std::uint8_t*>(data_.data()) + pos_ + 1,
              reinterpret_cast<const std::uint8_t*>(data_.data()) + pos_ + 1 +
                  len};
     const std::uint8_t kindflags = *c.p++;
     const std::uint8_t kind = kindflags >> kKindShift;
     const std::uint8_t flags = kindflags & kFlagMask;
-    RtebRecord out;
 
     switch (static_cast<RtebKind>(kind)) {
       case RtebKind::kFrame: {
-        out.kind = RtebKind::kFrame;
-        RtebFrame& f = out.frame;
         std::uint64_t idv = 0;
         std::int64_t dt = 0;
         if (!c.get_varint(idv) || !c.get_svarint(dt))
-          return Unexpected{at_offset("truncated frame record")};
+          return "truncated frame record";
         IdState* st = nullptr;
         std::int64_t t = 0;
         if ((flags & kFrameNewId) != 0) {
-          if (idv > kMaxExtendedId)
-            return Unexpected{at_offset("frame identifier out of range")};
+          if (idv > kMaxExtendedId) return "frame identifier out of range";
           IdState fresh;
           fresh.id = static_cast<std::uint32_t>(idv);
           fresh.last.frame.id = fresh.id;
@@ -379,14 +377,13 @@ Expected<std::optional<RtebRecord>, std::string> RtebReader::next() {
           st = &ids_.back();
           t = prev_record_t_ns_ + dt;
         } else {
-          if (idv >= ids_.size())
-            return Unexpected{at_offset("dangling frame identifier reference")};
+          if (idv >= ids_.size()) return "dangling frame identifier reference";
           st = &ids_[idv];
           t = st->last_t_ns + st->last_delta_ns + dt;
           st->last_delta_ns = t - st->last_t_ns;
         }
         st->last_t_ns = t;
-        f = st->last;
+        RtebFrame& f = st->last;
         f.at = TimePoint::from_ns(t);
         f.success = (flags & kFrameSuccess) != 0;
         f.collision = (flags & kFrameCollision) != 0;
@@ -398,8 +395,8 @@ Expected<std::optional<RtebRecord>, std::string> RtebReader::next() {
           std::uint64_t attempt = 0;
           if (!c.get_u8(sender) || !c.get_u8(format) || !c.get_u8(dlc) ||
               !c.get_varint(wire) || !c.get_varint(attempt))
-            return Unexpected{at_offset("truncated frame meta block")};
-          if (dlc > 8) return Unexpected{at_offset("frame dlc out of range")};
+            return "truncated frame meta block";
+          if (dlc > 8) return "frame dlc out of range";
           f.sender = static_cast<NodeId>(sender);
           f.frame.extended = (format & 1u) != 0;
           f.frame.rtr = (format & 2u) != 0;
@@ -408,40 +405,37 @@ Expected<std::optional<RtebRecord>, std::string> RtebReader::next() {
           f.attempt = static_cast<int>(attempt);
         }
         if ((flags & kFramePayload) != 0) {
-          if (c.end - c.p < f.frame.dlc)
-            return Unexpected{at_offset("truncated frame payload")};
+          if (c.end - c.p < f.frame.dlc) return "truncated frame payload";
           std::copy(c.p, c.p + f.frame.dlc, f.frame.data.begin());
           c.p += f.frame.dlc;
         }
-        st->last = f;
+        out = RtebRecord{f};
         prev_record_t_ns_ = t;
         break;
       }
       case RtebKind::kAlarm: {
-        out.kind = RtebKind::kAlarm;
-        RtebAlarm& a = out.alarm;
+        RtebAlarm a;
         std::uint64_t det = 0;
         std::int64_t dt = 0;
         std::uint64_t id = 0;
         if (!c.get_varint(det) || !c.get_svarint(dt) || !c.get_varint(id) ||
             !c.get_f64(a.score))
-          return Unexpected{at_offset("truncated alarm record")};
-        if (det >= detectors_.size())
-          return Unexpected{at_offset("dangling detector reference")};
+          return "truncated alarm record";
+        if (det >= detectors_.size()) return "dangling detector reference";
         a.detector = detectors_[det];
         a.id = static_cast<std::uint32_t>(id);
         a.unknown_id = (flags & kAlarmUnknownId) != 0;
         prev_record_t_ns_ += dt;
         a.at = TimePoint::from_ns(prev_record_t_ns_);
+        out = RtebRecord{a};
         break;
       }
       case RtebKind::kHandoff: {
-        out.kind = RtebKind::kHandoff;
-        RtebHandoff& h = out.handoff;
+        RtebHandoff h;
         std::uint64_t channel = 0;
         std::int64_t dt = 0;
         if (!c.get_varint(channel) || !c.get_svarint(dt))
-          return Unexpected{at_offset("truncated handoff record")};
+          return "truncated handoff record";
         const auto it = std::lower_bound(
             channels_.begin(), channels_.end(), channel,
             [](const ChannelState& s, std::uint64_t v) { return s.channel < v; });
@@ -455,15 +449,14 @@ Expected<std::optional<RtebRecord>, std::string> RtebReader::next() {
         }
         if ((flags & kHandoffLatency) != 0) {
           if (!c.get_svarint(st->latency_ns))
-            return Unexpected{at_offset("truncated handoff latency")};
+            return "truncated handoff latency";
         } else if (st->latency_ns < 0) {
-          return Unexpected{at_offset("handoff before its channel latency")};
+          return "handoff before its channel latency";
         }
         std::uint64_t seq = st->next_seq;
         if ((flags & kHandoffSeqResidual) != 0) {
           std::int64_t residual = 0;
-          if (!c.get_svarint(residual))
-            return Unexpected{at_offset("truncated handoff seq residual")};
+          if (!c.get_svarint(residual)) return "truncated handoff seq residual";
           seq = st->next_seq + static_cast<std::uint64_t>(residual);
         }
         st->next_seq = seq + 1;
@@ -472,6 +465,7 @@ Expected<std::optional<RtebRecord>, std::string> RtebReader::next() {
         h.seq = seq;
         h.send = TimePoint::from_ns(prev_record_t_ns_);
         h.release = h.send + Duration::nanoseconds(st->latency_ns);
+        out = RtebRecord{h};
         break;
       }
       case RtebKind::kDetectorDef: {
@@ -481,21 +475,45 @@ Expected<std::optional<RtebRecord>, std::string> RtebReader::next() {
         continue;  // bookkeeping record, not surfaced
       }
       default:
-        return Unexpected{at_offset("unknown record kind")};
+        return "unknown record kind";
     }
-    if (c.p > c.end) return Unexpected{at_offset("record overran its length")};
+    if (c.p > c.end) return "record overran its length";
     pos_ += 1 + len;
-    return std::optional<RtebRecord>{std::move(out)};
+    return nullptr;
   }
+}
+
+Expected<std::optional<RtebRecord>, std::string> RtebReader::next() {
+  RtebRecord rec;
+  bool end = false;
+  if (const char* defect = decode(rec, end))
+    return Unexpected{at_offset(defect)};
+  if (end) return std::optional<RtebRecord>{};
+  return std::optional<RtebRecord>{rec};
+}
+
+std::size_t RtebReader::count_records() const {
+  std::size_t n = 0;
+  for (std::size_t pos = pos_; pos + 1 < data_.size();) {
+    const std::size_t len = static_cast<std::uint8_t>(data_[pos]);
+    if (len == 0) break;  // decode() stops here
+    const auto kind = static_cast<RtebKind>(
+        static_cast<std::uint8_t>(data_[pos + 1]) >> kKindShift);
+    if (kind != RtebKind::kDetectorDef) ++n;
+    pos += 1 + len;
+  }
+  return n;
 }
 
 Expected<std::vector<RtebRecord>, std::string> RtebReader::read_all() {
   std::vector<RtebRecord> out;
-  for (;;) {
-    auto r = next();
-    if (!r) return Unexpected{r.error()};
-    if (!r.value()) return out;
-    out.push_back(std::move(*r.value()));
+  out.reserve(count_records());
+  RtebRecord rec;
+  for (bool end = false;;) {
+    if (const char* defect = decode(rec, end))
+      return Unexpected{at_offset(defect)};
+    if (end) return out;
+    out.push_back(rec);
   }
 }
 
@@ -503,20 +521,45 @@ Expected<std::vector<RtebRecord>, std::string> RtebReader::read_all() {
 // candump interop
 // ---------------------------------------------------------------------------
 
-Expected<std::string, std::string> rteb_to_candump(
-    std::string_view rteb, const std::string& interface_name) {
+namespace {
+
+/// Calls `fn` on every successful frame record of `rteb`, in stream order.
+template <typename Fn>
+Expected<void, std::string> for_each_delivery(std::string_view rteb, Fn&& fn) {
   auto reader = RtebReader::open(rteb);
   if (!reader) return Unexpected{reader.error()};
-  std::string out;
   for (;;) {
     auto r = reader->next();
     if (!r) return Unexpected{r.error()};
-    if (!r.value()) return out;
+    if (!r.value()) return {};
     const RtebRecord& rec = *r.value();
-    if (rec.kind != RtebKind::kFrame || !rec.frame.success) continue;
-    out += format_candump_line(rec.frame.frame, rec.frame.at, interface_name);
-    out += '\n';
+    if (rec.kind == RtebKind::kFrame && rec.frame.success) fn(rec.frame);
   }
+}
+
+}  // namespace
+
+Expected<std::string, std::string> rteb_to_candump(
+    std::string_view rteb, const std::string& interface_name) {
+  // The first pass decodes the stream and sums the exact line lengths, so
+  // the second writes every line in place into one buffer allocated once.
+  std::size_t size = 0;
+  const auto sized = for_each_delivery(rteb, [&](const RtebFrame& f) {
+    size += print_candump_line(nullptr, 0, f.frame, f.at, interface_name) + 1;
+  });
+  if (!sized) return Unexpected{sized.error()};
+  std::string out(size, '\0');
+  char* at = out.data();
+  char* const end = at + size;
+  (void)for_each_delivery(rteb, [&](const RtebFrame& f) {
+    // The room includes the string's terminator slot, where the last
+    // line's NUL lands; every other NUL is overwritten by its newline.
+    at += print_candump_line(at, static_cast<std::size_t>(end - at) + 1,
+                             f.frame, f.at, interface_name);
+    *at++ = '\n';
+  });
+  assert(at == end);
+  return out;
 }
 
 std::string rteb_from_candump(const std::string& text, std::uint16_t network,

@@ -58,6 +58,13 @@
 /// docs/observability.md (the normative spec). Truncated files, bad
 /// magic/version and unknown kinds are hard reader errors — never a
 /// silently shortened trace.
+///
+/// Decoding is sized by what a trace carries: a decoded record is one
+/// tagged union of at most 48 bytes, alarm names are views into the
+/// trace's own bytes (decoded records borrow the input, like the reader),
+/// read_all allocates its vector once at the exact record count, and
+/// rteb_to_candump writes every line in place into one buffer sized to
+/// the exact text length before the first line is written.
 
 namespace rtec {
 namespace trace {
@@ -91,9 +98,11 @@ struct RtebFrame {
 /// One decoded detector alarm.
 struct RtebAlarm {
   TimePoint at;
-  std::string detector;
-  std::uint32_t id = 0;
+  /// The detector's name: a view into its kDetectorDef record in the
+  /// decoded bytes, valid as long as those bytes are.
+  std::string_view detector;
   double score = 0.0;
+  std::uint32_t id = 0;
   bool unknown_id = false;
 };
 
@@ -105,15 +114,25 @@ struct RtebHandoff {
   std::uint64_t seq = 0;
 };
 
-/// One decoded record (exactly one member is meaningful for `kind`;
-/// kDetectorDef records are consumed internally by the reader and never
-/// surfaced).
+/// One decoded record: `kind` names the one member of the union that is
+/// live, and reading another is undefined behaviour. kDetectorDef records
+/// are consumed internally by the reader and never surfaced.
 struct RtebRecord {
+  RtebRecord() : frame{} {}
+  explicit RtebRecord(const RtebFrame& f) : kind{RtebKind::kFrame}, frame{f} {}
+  explicit RtebRecord(const RtebAlarm& a) : kind{RtebKind::kAlarm}, alarm{a} {}
+  explicit RtebRecord(const RtebHandoff& h)
+      : kind{RtebKind::kHandoff}, handoff{h} {}
+
   RtebKind kind = RtebKind::kFrame;
-  RtebFrame frame;
-  RtebAlarm alarm;
-  RtebHandoff handoff;
+  union {
+    RtebFrame frame;
+    RtebAlarm alarm;
+    RtebHandoff handoff;
+  };
 };
+static_assert(sizeof(RtebRecord) <= 48,
+              "a decoded record must stay within 48 bytes");
 
 /// Serializes records into the RTEB byte stream, encoding each record in
 /// place at the end of its buffer. Memory-backed by default (bytes() holds
@@ -199,9 +218,14 @@ class RtebWriter {
 /// machine, so decoding is sequential; every structural defect (bad
 /// magic, unsupported version, truncated record, unknown kind, dangling
 /// reference) is a hard error naming the byte offset.
+///
+/// The reader and every record it returns borrow the decoded bytes: an
+/// alarm's `detector` is a view into them, so it stays valid after the
+/// reader is gone, for as long as the bytes are.
 class RtebReader {
  public:
-  /// Validates the header. The data must outlive the reader.
+  /// Validates the header. The data must outlive the reader and the
+  /// records it decodes.
   [[nodiscard]] static Expected<RtebReader, std::string> open(
       std::string_view data);
 
@@ -211,7 +235,9 @@ class RtebReader {
   /// Next record; std::nullopt at clean end-of-stream, error on damage.
   [[nodiscard]] Expected<std::optional<RtebRecord>, std::string> next();
 
-  /// Decodes the remaining records in one pass.
+  /// Decodes the remaining records in one pass. A walk over the length
+  /// bytes counts them first, so the vector is allocated once at its
+  /// exact size; a damaged stream fails as next() would.
   [[nodiscard]] Expected<std::vector<RtebRecord>, std::string> read_all();
 
  private:
@@ -232,6 +258,12 @@ class RtebReader {
       : data_{data}, pos_{kRtebHeaderSize}, version_{version},
         network_{network} {}
 
+  /// Decodes the next surfaced record into `out`, or sets `end` at a
+  /// clean end of stream. Returns the defect at pos_ on damage, else null.
+  [[nodiscard]] const char* decode(RtebRecord& out, bool& end);
+  /// Records from pos_ on that decode() would surface, counted from the
+  /// length and kind bytes alone; an upper bound on a damaged stream.
+  [[nodiscard]] std::size_t count_records() const;
   [[nodiscard]] std::string at_offset(const char* what) const;
 
   std::string_view data_;
@@ -241,13 +273,15 @@ class RtebReader {
   std::int64_t prev_record_t_ns_ = 0;
   std::vector<IdState> ids_;  ///< first-seen order, indexed by reference
   std::vector<ChannelState> channels_;  ///< sorted by channel
-  std::vector<std::string> detectors_;  ///< interned names, index order
+  std::vector<std::string_view> detectors_;  ///< names in data_, index order
 };
 
 /// Renders the successful frame records of an RTEB stream as candump
 /// text (one log line per delivery — corrupted attempts, alarms and
 /// handoffs have no candump representation and are omitted, exactly as a
-/// real candump never sees them).
+/// real candump never sees them). One decode pass sizes the text exactly,
+/// a second writes each line in place; on damage it fails as the reader
+/// does.
 [[nodiscard]] Expected<std::string, std::string> rteb_to_candump(
     std::string_view rteb, const std::string& interface_name);
 

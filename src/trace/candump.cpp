@@ -8,33 +8,33 @@
 
 namespace rtec {
 
+std::size_t print_candump_line(char* out, std::size_t room,
+                               const CanFrame& frame, TimePoint at,
+                               std::string_view interface_name) {
+  constexpr char kHex[] = "0123456789ABCDEF";
+  char data[17] = "R";
+  if (!frame.rtr) {
+    for (std::size_t i = 0; i < frame.dlc; ++i) {
+      data[2 * i] = kHex[frame.data[i] >> 4];
+      data[2 * i + 1] = kHex[frame.data[i] & 0xFu];
+    }
+    data[2 * frame.dlc] = '\0';
+  }
+  const int n = std::snprintf(
+      out, room, "(%lld.%06lld) %.*s %0*X#%s",
+      static_cast<long long>(at.ns() / 1'000'000'000),
+      static_cast<long long>(at.ns() % 1'000'000'000 / 1000),
+      static_cast<int>(interface_name.size()), interface_name.data(),
+      frame.extended ? 8 : 3, frame.id, data);
+  return static_cast<std::size_t>(n);
+}
+
 std::string format_candump_line(const CanFrame& frame, TimePoint at,
                                 const std::string& interface_name) {
-  char buf[96];
-  const std::int64_t secs = at.ns() / 1'000'000'000;
-  const std::int64_t micros = at.ns() % 1'000'000'000 / 1000;
-  int off;
-  if (frame.extended) {
-    off = std::snprintf(buf, sizeof buf, "(%lld.%06lld) %s %08X#",
-                        static_cast<long long>(secs),
-                        static_cast<long long>(micros),
-                        interface_name.c_str(), frame.id);
-  } else {
-    off = std::snprintf(buf, sizeof buf, "(%lld.%06lld) %s %03X#",
-                        static_cast<long long>(secs),
-                        static_cast<long long>(micros),
-                        interface_name.c_str(), frame.id);
-  }
-  if (frame.rtr) {
-    off += std::snprintf(buf + off, sizeof buf - static_cast<std::size_t>(off),
-                         "R");
-  } else {
-    for (int i = 0; i < frame.dlc; ++i)
-      off += std::snprintf(buf + off,
-                           sizeof buf - static_cast<std::size_t>(off), "%02X",
-                           frame.data[static_cast<std::size_t>(i)]);
-  }
-  return std::string{buf, static_cast<std::size_t>(off)};
+  std::string line(print_candump_line(nullptr, 0, frame, at, interface_name),
+                   '\0');
+  print_candump_line(line.data(), line.size() + 1, frame, at, interface_name);
+  return line;
 }
 
 namespace {

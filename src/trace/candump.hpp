@@ -1,6 +1,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "canbus/controller.hpp"
@@ -27,6 +28,14 @@ namespace rtec {
 [[nodiscard]] std::string format_candump_line(const CanFrame& frame,
                                               TimePoint at,
                                               const std::string& interface_name);
+
+/// The one formatter behind format_candump_line, with snprintf's
+/// contract: writes the line to `out`, truncated to `room` bytes with its
+/// terminating NUL, and returns the line's full length; room 0 (out may
+/// then be null) only measures it.
+std::size_t print_candump_line(char* out, std::size_t room,
+                               const CanFrame& frame, TimePoint at,
+                               std::string_view interface_name);
 
 /// One parsed candump log entry.
 struct CandumpEntry {

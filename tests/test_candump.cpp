@@ -1,7 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <iterator>
+#include <limits>
+#include <string>
+
 #include "trace/binary.hpp"
 #include "trace/candump.hpp"
+#include "util/random.hpp"
 
 namespace rtec {
 namespace {
@@ -35,6 +41,71 @@ TEST(Candump, FormatsBaseAndRtrFrames) {
   rtr.rtr = true;
   EXPECT_EQ(format_candump_line(rtr, TimePoint::origin(), "can0"),
             "(0.000000) can0 100#R");
+}
+
+/// The formatting that candump lines were first written with, one
+/// snprintf per field: the reference the one-call formatter must
+/// reproduce byte for byte.
+std::string printf_candump_line(const CanFrame& frame, TimePoint at,
+                                const std::string& iface) {
+  char buf[96];
+  const long long secs = at.ns() / 1'000'000'000;
+  const long long micros = at.ns() % 1'000'000'000 / 1000;
+  int off = std::snprintf(buf, sizeof buf,
+                          frame.extended ? "(%lld.%06lld) %s %08X#"
+                                         : "(%lld.%06lld) %s %03X#",
+                          secs, micros, iface.c_str(), frame.id);
+  if (frame.rtr) {
+    off += std::snprintf(buf + off, sizeof buf - static_cast<std::size_t>(off),
+                         "R");
+  } else {
+    for (int i = 0; i < frame.dlc; ++i)
+      off += std::snprintf(buf + off,
+                           sizeof buf - static_cast<std::size_t>(off), "%02X",
+                           frame.data[static_cast<std::size_t>(i)]);
+  }
+  return std::string{buf, static_cast<std::size_t>(off)};
+}
+
+TEST(Candump, FormatterMatchesPrintfReference) {
+  // Seeded frames over both formats, every dlc, RTR, base ids wider than
+  // three digits, and times around zero, negative and at the extremes
+  // (a damaged trace can decode to any of them).
+  Rng rng{7};
+  const std::int64_t extremes[] = {0, 999, 1000, 999'999'999, 1'000'000'000,
+                                   -1, -999, -1000, -1'500'000'000,
+                                   std::numeric_limits<std::int64_t>::max(),
+                                   std::numeric_limits<std::int64_t>::min()};
+  for (int i = 0; i < 20'000; ++i) {
+    CanFrame f;
+    f.extended = rng.bernoulli(0.5);
+    f.id = static_cast<std::uint32_t>(rng.uniform_int(0, kMaxExtendedId));
+    if (!f.extended && rng.bernoulli(0.7)) f.id &= kMaxBaseId;
+    f.rtr = rng.bernoulli(0.1);
+    f.dlc = static_cast<std::uint8_t>(rng.uniform_int(0, 8));
+    for (auto& b : f.data) b = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
+    const std::int64_t ns =
+        i < static_cast<int>(std::size(extremes))
+            ? extremes[i]
+            : rng.uniform_int(-4'000'000'000'000, 4'000'000'000'000);
+    const TimePoint at = TimePoint::from_ns(ns);
+    const std::string iface = i % 3 == 0 ? "can0" : "vcan12";
+    const std::string want = printf_candump_line(f, at, iface);
+    ASSERT_EQ(format_candump_line(f, at, iface), want) << "ns=" << ns;
+    ASSERT_EQ(print_candump_line(nullptr, 0, f, at, iface), want.size());
+  }
+}
+
+TEST(Candump, LongInterfaceNameIsWrittenWhole) {
+  // The name comes from the command line (`rtec_trace to-candump <trace>
+  // <iface>`), so no fixed line length bounds it.
+  CanFrame f;
+  f.id = 0x1F334455;
+  f.dlc = 8;
+  f.data.fill(0xAB);
+  const std::string iface(200, 'x');
+  EXPECT_EQ(format_candump_line(f, TimePoint::from_ns(1'000), iface),
+            "(0.000001) " + iface + " 1F334455#ABABABABABABABAB");
 }
 
 TEST(Candump, ParseRoundTrip) {

@@ -316,6 +316,38 @@ TEST_F(SrtFixture, ChannelDefaultsApplyWhenEventCarriesNone) {
   EXPECT_EQ(errors[1], ChannelError::kExpired);
 }
 
+TEST_F(SrtFixture, RefusedMessageCancelsItsTimers) {
+  // An offline controller refuses every message, so each is dropped at
+  // once with kBusOff. Its deadline and expiration timers go with it:
+  // cancelled in the kernel, never fired.
+  Srtec pub{n1->middleware()};
+  std::vector<ChannelError> errors;
+  ASSERT_TRUE(pub.announce(subject_of("srt/data"),
+                           AttributeList{attr::Deadline{500_us},
+                                         attr::Expiration{800_us}},
+                           [&](const ExceptionInfo& e) {
+                             errors.push_back(e.error);
+                           })
+                  .has_value());
+  n1->controller().set_online(false);
+  const Simulator::Stats before = scn.sim().stats();
+  for (int i = 0; i < 100; ++i) {
+    Event e;
+    e.content = {static_cast<std::uint8_t>(i)};
+    ASSERT_TRUE(pub.publish(std::move(e)).has_value());
+  }
+  scn.run_for(2_ms);  // past the last expiration (800 us)
+
+  ASSERT_EQ(errors.size(), 100u);
+  for (const ChannelError e : errors) EXPECT_EQ(e, ChannelError::kBusOff);
+  const Simulator::Stats& after = scn.sim().stats();
+  EXPECT_EQ(after.cancelled - before.cancelled, 200u);
+  EXPECT_EQ(after.fired - before.fired, 0u);
+  const auto& c = n1->middleware().srt().counters();
+  EXPECT_EQ(c.deadline_missed, 0u);
+  EXPECT_EQ(c.expired, 0u);
+}
+
 // --------------------------------------------------------------- validation
 
 TEST_F(SrtFixture, ExpirationBeforeDeadlineRejected) {

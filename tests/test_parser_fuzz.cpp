@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <fstream>
 #include <functional>
@@ -235,6 +236,43 @@ TEST(Rteb, RecordedScenarioStreamPinned) {
   EXPECT_EQ(rteb.size(), 704u);
   EXPECT_EQ(records, 70u);
   EXPECT_EQ(fnv, 0x5b8eab3b7f757e24ULL);
+  // The rtec_trace ctests read the same stream from a committed file.
+  EXPECT_TRUE(rteb == fixture("recorded.rteb"))
+      << "tools/fixtures/recorded.rteb differs from the recorded stream";
+}
+
+/// Field-by-field equality of two decoded records, reading only the
+/// member that `kind` names (the score bitwise, so NaNs compare).
+bool same_record(const trace::RtebRecord& a, const trace::RtebRecord& b) {
+  if (a.kind != b.kind) return false;
+  switch (a.kind) {
+    case trace::RtebKind::kFrame: {
+      const trace::RtebFrame& x = a.frame;
+      const trace::RtebFrame& y = b.frame;
+      return x.at == y.at && x.frame.id == y.frame.id &&
+             x.frame.extended == y.frame.extended &&
+             x.frame.rtr == y.frame.rtr && x.frame.dlc == y.frame.dlc &&
+             x.frame.data == y.frame.data && x.sender == y.sender &&
+             x.success == y.success && x.collision == y.collision &&
+             x.wire_bits == y.wire_bits && x.attempt == y.attempt;
+    }
+    case trace::RtebKind::kAlarm: {
+      const trace::RtebAlarm& x = a.alarm;
+      const trace::RtebAlarm& y = b.alarm;
+      return x.at == y.at && x.detector == y.detector &&
+             std::bit_cast<std::uint64_t>(x.score) ==
+                 std::bit_cast<std::uint64_t>(y.score) &&
+             x.id == y.id && x.unknown_id == y.unknown_id;
+    }
+    case trace::RtebKind::kHandoff: {
+      const trace::RtebHandoff& x = a.handoff;
+      const trace::RtebHandoff& y = b.handoff;
+      return x.send == y.send && x.release == y.release &&
+             x.channel == y.channel && x.seq == y.seq;
+    }
+    default:
+      return false;
+  }
 }
 
 TEST(ParserFuzz, RtebReader) {
@@ -257,17 +295,59 @@ TEST(ParserFuzz, RtebReader) {
   EXPECT_GT(frames_error, 0);
   EXPECT_GT(alarms, 0);
   EXPECT_GT(handoffs, 0);
-  run_campaign({rteb}, 1, /*binary=*/true,
-               [](const std::string& doc, Campaign& c) {
-                 auto reader = trace::RtebReader::open(doc);
-                 c.check(reader, doc);
-                 if (!reader) return false;
-                 const auto records = reader->read_all();
-                 c.check(records, doc);
-                 const auto text = trace::rteb_to_candump(doc, "can0");
-                 c.check(text, doc);
-                 return records.has_value();
-               });
+  // Besides failing cleanly, each mutant holds the decoder's three entry
+  // points to one another: read_all decodes what a next() loop decodes,
+  // in one allocation, and rteb_to_candump renders exactly the successful
+  // frames of that loop through format_candump_line, or all three fail
+  // with the same diagnostic.
+  run_campaign(
+      {rteb}, 1, /*binary=*/true, [](const std::string& doc, Campaign& c) {
+        auto reader = trace::RtebReader::open(doc);
+        c.check(reader, doc);
+        if (!reader) return false;
+        const auto records = reader->read_all();
+        c.check(records, doc);
+
+        auto stepper = trace::RtebReader::open(doc);
+        std::vector<trace::RtebRecord> stepped;
+        std::string step_error;
+        for (;;) {
+          auto r = stepper->next();
+          if (!r) {
+            step_error = r.error();
+            break;
+          }
+          if (!r.value()) break;
+          stepped.push_back(*r.value());
+        }
+        if (!records) {
+          if (records.error() != step_error)
+            c.fail("read_all and next() fail differently", doc);
+        } else if (!step_error.empty()) {
+          c.fail("next() fails where read_all decodes", doc);
+        } else if (records->capacity() != records->size()) {
+          c.fail("read_all grew its vector instead of allocating once", doc);
+        } else if (!std::equal(records->begin(), records->end(),
+                               stepped.begin(), stepped.end(),
+                               same_record)) {
+          c.fail("read_all and next() decode different records", doc);
+        }
+
+        const auto text = trace::rteb_to_candump(doc, "can0");
+        c.check(text, doc);
+        if (step_error.empty()) {
+          std::string lines;
+          for (const trace::RtebRecord& r : stepped)
+            if (r.kind == trace::RtebKind::kFrame && r.frame.success)
+              lines += format_candump_line(r.frame.frame, r.frame.at, "can0") +
+                       '\n';
+          if (!text || *text != lines)
+            c.fail("rteb_to_candump differs from format_candump_line", doc);
+        } else if (text || text.error() != step_error) {
+          c.fail("rteb_to_candump fails differently from the reader", doc);
+        }
+        return records.has_value();
+      });
 }
 
 /// Lines holding at least one token — what parse_candump either parses

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "trace/binary.hpp"
@@ -61,9 +63,9 @@ TEST(Rteb, FrameRoundTripPreservesEveryField) {
   const CanBus::FrameEvent* expected[] = {&a, &b, &err, &coll, &rtr};
   for (std::size_t i = 0; i < 5; ++i) {
     SCOPED_TRACE(i);
+    ASSERT_EQ((*records)[i].kind, RtebKind::kFrame);
     const RtebFrame& got = (*records)[i].frame;
     const CanBus::FrameEvent& want = *expected[i];
-    EXPECT_EQ((*records)[i].kind, RtebKind::kFrame);
     EXPECT_EQ(got.at.ns(), want.end.ns());
     EXPECT_EQ(got.frame.id, want.frame.id);
     EXPECT_EQ(got.frame.extended, want.frame.extended);
@@ -151,6 +153,8 @@ TEST(Rteb, AlarmAndHandoffRoundTrip) {
   ASSERT_EQ(records->size(), 8u);  // detector defs are not surfaced
 
   EXPECT_EQ((*records)[0].kind, RtebKind::kFrame);
+  for (std::size_t i = 1; i < 4; ++i)
+    ASSERT_EQ((*records)[i].kind, RtebKind::kAlarm) << i;
 
   const RtebAlarm& a1 = (*records)[1].alarm;
   EXPECT_EQ(a1.detector, "iat-gate");
@@ -174,13 +178,37 @@ TEST(Rteb, AlarmAndHandoffRoundTrip) {
   const std::int64_t releases[] = {2'250'000, 2'350'000, 2'450'000, 2'800'000};
   for (std::size_t i = 0; i < 4; ++i) {
     SCOPED_TRACE(i);
+    ASSERT_EQ((*records)[4 + i].kind, RtebKind::kHandoff);
     const RtebHandoff& h = (*records)[4 + i].handoff;
-    EXPECT_EQ((*records)[4 + i].kind, RtebKind::kHandoff);
     EXPECT_EQ(h.channel, chans[i]);
     EXPECT_EQ(h.seq, seqs[i]);
     EXPECT_EQ(h.send.ns(), sends[i]);
     EXPECT_EQ(h.release.ns(), releases[i]);
   }
+}
+
+TEST(Rteb, AlarmDetectorNameIsAViewIntoTheTrace) {
+  RtebWriter w{0};
+  w.add_alarm("iat-gate", TimePoint::from_ns(1'500'000), 0x123, 3.75, false);
+  const std::string& bytes = w.bytes();
+  std::vector<RtebRecord> records;
+  {
+    auto reader = RtebReader::open(bytes);
+    ASSERT_TRUE(reader.has_value()) << reader.error();
+    auto all = reader->read_all();
+    ASSERT_TRUE(all.has_value()) << all.error();
+    records = std::move(*all);
+  }
+  // The reader and its name table are gone; the record still borrows the
+  // kDetectorDef payload of `bytes` (a dangling view fails under ASan).
+  ASSERT_EQ(records.size(), 1u);
+  ASSERT_EQ(records[0].kind, RtebKind::kAlarm);
+  const std::string_view name = records[0].alarm.detector;
+  const auto begin = reinterpret_cast<std::uintptr_t>(bytes.data());
+  const auto at = reinterpret_cast<std::uintptr_t>(name.data());
+  EXPECT_GE(at, begin);
+  EXPECT_LE(at + name.size(), begin + bytes.size());
+  EXPECT_EQ(name, "iat-gate");
 }
 
 TEST(Rteb, GoldenBytesPinAlarmAndHandoffRecords) {

@@ -3,6 +3,7 @@
 #include <cstring>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "tool_io.hpp"
@@ -69,8 +70,9 @@ std::string format_record(const RtebRecord& r) {
     case rtec::trace::RtebKind::kAlarm: {
       const auto& a = r.alarm;
       std::snprintf(buf, sizeof buf,
-                    "alarm t=%" PRId64 "ns detector=%s id=0x%X score=%.17g%s",
-                    a.at.ns(), a.detector.c_str(), a.id, a.score,
+                    "alarm t=%" PRId64 "ns detector=%.*s id=0x%X score=%.17g%s",
+                    a.at.ns(), static_cast<int>(a.detector.size()),
+                    a.detector.data(), a.id, a.score,
                     a.unknown_id ? " unknown-id" : "");
       return buf;
     }
@@ -113,7 +115,7 @@ int cmd_stats(const std::string& path, const std::string& data) {
   std::uint64_t records = 0, frames = 0, ok = 0, errors = 0, collisions = 0;
   std::uint64_t alarms = 0, unknown_id = 0, handoffs = 0;
   std::set<std::uint32_t> ids, channels;
-  std::set<std::string> detectors;
+  std::set<std::string_view> detectors;  // views into `data`
   std::int64_t t_min = 0, t_max = 0;
   bool any_time = false;
   for (;;) {
