@@ -321,7 +321,7 @@ int main() {
   {
     trace::MetricsRegistry metrics;
     (void)run_point(/*attack=*/2, /*seed=*/1, tl, &metrics);
-    if (!metrics.save("METRICS_attack.json"))
+    if (!metrics.save(bench::output_path("METRICS_attack.json")))
       bench::note("warning: could not write METRICS_attack.json");
   }
   bench::note("suspension is the hard case: per-arrival detectors only fire");

@@ -257,7 +257,7 @@ int main() {
     trace::MetricsRegistry metrics;
     const TopoSpec topo = make_topology(TopoShape::kChain, 4, /*seed=*/11);
     (void)run_city(topo, 4, 1, 100_ms, &metrics);
-    if (!metrics.save("METRICS_multiseg.json"))
+    if (!metrics.save(bench::output_path("METRICS_multiseg.json")))
       bench::note("warning: could not write METRICS_multiseg.json");
   }
   bench::note("both configurations execute the identical event sequence");

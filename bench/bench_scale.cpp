@@ -210,7 +210,7 @@ int main() {
   metrics.set("bench.recorder_nodes",
               static_cast<std::uint64_t>(oh_nodes));
   metrics.set("bench.recorder_reps", static_cast<std::uint64_t>(oh_reps));
-  if (!metrics.save("METRICS_scale.json"))
+  if (!metrics.save(bench::output_path("METRICS_scale.json")))
     bench::note("warning: could not write METRICS_scale.json");
 
   bj.meta("wall_s_total", total_wall);

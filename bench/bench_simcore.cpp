@@ -240,6 +240,42 @@ void BM_SrtPublishPath(benchmark::State& state) {
 }
 BENCHMARK(BM_SrtPublishPath)->Unit(benchmark::kMillisecond);
 
+// The overload regime of E5 and E10, which BM_SrtPublishPath (depth 1)
+// never reaches: one node publishes a backlog of 1,000 events at one
+// instant, with seeded deadlines on a 100 us grid (so many are equal) and
+// the channel's default expiration, then runs until its queue drains.
+// Newcomers preempt the staged message, and most of the backlog expires
+// while queued.
+void BM_SrtDeepQueue(benchmark::State& state) {
+  constexpr int kEvents = 1000;
+  for (auto _ : state) {
+    state.PauseTiming();
+    Scenario scn;
+    Node::ClockParams perfect;
+    perfect.granularity = 1_ns;
+    Node& n1 = scn.add_node(1, perfect);
+    scn.add_node(2, perfect);
+    Srtec pub{n1.middleware()};
+    (void)pub.announce(subject_of("bm/srt"), {}, nullptr);
+    Rng rng{7};
+    state.ResumeTiming();
+
+    for (int i = 0; i < kEvents; ++i) {
+      Event e;
+      e.content = {1, 2, 3, 4};
+      // Up to the default expiration (20 ms), which must not precede it.
+      e.attributes.deadline =
+          scn.sim().now() +
+          Duration::microseconds(100 * rng.uniform_int(10, 200));
+      benchmark::DoNotOptimize(pub.publish(std::move(e)).has_value());
+    }
+    while (n1.middleware().srt().queue_length() > 0) scn.run_for(1_ms);
+  }
+  state.SetItemsProcessed(state.iterations() * kEvents);
+  state.SetLabel("backlog publish+preempt+expire");
+}
+BENCHMARK(BM_SrtDeepQueue)->Unit(benchmark::kMillisecond);
+
 // ------------------------------------------------------------ trace decode
 
 // One fixed, seeded RTEB stream shaped like a recorded attack run: 16

@@ -82,6 +82,15 @@ auto sweep(std::size_t n, Fn&& fn, unsigned threads = 0)
   return out;
 }
 
+/// Where a bench writes its output file `file`: the current directory, or
+/// $RTEC_BENCH_DIR when set.
+inline std::string output_path(std::string_view file) {
+  std::string dir;
+  if (const char* env = std::getenv("RTEC_BENCH_DIR")) dir = env;
+  if (!dir.empty() && dir.back() != '/') dir += '/';
+  return dir + std::string{file};
+}
+
 /// Machine-readable benchmark emitter. Usage:
 ///
 ///   BenchJson bj{"scale"};
@@ -140,13 +149,10 @@ class BenchJson {
     return os.str();
   }
 
-  /// Writes BENCH_<name>.json into the current directory (or
-  /// $RTEC_BENCH_DIR when set). Returns false on I/O failure.
+  /// Writes BENCH_<name>.json to output_path(). Returns false on I/O
+  /// failure.
   bool write() const {
-    std::string dir;
-    if (const char* env = std::getenv("RTEC_BENCH_DIR")) dir = env;
-    if (!dir.empty() && dir.back() != '/') dir += '/';
-    std::ofstream out{dir + "BENCH_" + name_ + ".json"};
+    std::ofstream out{output_path("BENCH_" + name_ + ".json")};
     if (!out) return false;
     out << to_json();
     return out.good();

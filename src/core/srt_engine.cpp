@@ -52,37 +52,28 @@ Expected<void, ChannelError> SrtEngine::publish(Etag etag, Event event) {
   if (event.size() > 8) return Unexpected{ChannelError::kPayloadTooLarge};
 
   const TimePoint now_local = ctx_.clock.now();
-  Message msg;
-  msg.uid = next_uid_++;
-  msg.etag = etag;
-  msg.enqueued = now_local;
-  msg.deadline = event.attributes.deadline != TimePoint::max()
-                     ? event.attributes.deadline
-                     : now_local + pub.default_deadline;
-  msg.expiration = event.attributes.expiration != TimePoint::max()
-                       ? event.attributes.expiration
-                       : now_local + pub.default_expiration;
-  if (msg.expiration < msg.deadline)
+  const Key key{event.attributes.deadline != TimePoint::max()
+                    ? event.attributes.deadline
+                    : now_local + pub.default_deadline,
+                next_sequence_++};
+  const TimePoint expiration = event.attributes.expiration != TimePoint::max()
+                                   ? event.attributes.expiration
+                                   : now_local + pub.default_expiration;
+  if (expiration < key.deadline)
     return Unexpected{ChannelError::kInvalidAttribute};
 
+  Message& msg = queue_[key];
+  msg.etag = etag;
   msg.frame.id = encode_can_id(
-      {map_.priority_for(now_local, msg.deadline), ctx_.node, etag});
+      {map_.priority_for(now_local, key.deadline), ctx_.node, etag});
   msg.frame.extended = true;
   msg.frame.dlc = static_cast<std::uint8_t>(event.size());
   std::copy(event.content.begin(), event.content.end(), msg.frame.data.begin());
-
   ++counters_.published;
-  const std::uint64_t uid = msg.uid;
-  const TimePoint deadline = msg.deadline;
-  const TimePoint expiration = msg.expiration;
-
-  Record& rec = records_[uid];
-  rec.etag = etag;
-  rec.queued = queue_.push(deadline, std::move(msg));
-  rec.deadline = ctx_.clock.schedule_at_local(
-      deadline, [this, uid] { on_deadline(uid); });
-  rec.expiration = ctx_.clock.schedule_at_local(
-      expiration, [this, uid] { on_expiration(uid); });
+  msg.deadline_timer = ctx_.clock.schedule_at_local(
+      key.deadline, [this, key] { on_deadline(key); });
+  msg.expiration_timer = ctx_.clock.schedule_at_local(
+      expiration, [this, key] { on_expiration(key); });
 
   pump();
   return {};
@@ -90,74 +81,76 @@ Expected<void, ChannelError> SrtEngine::publish(Etag etag, Event event) {
 
 void SrtEngine::pump() {
   // Preemption: if a queued message now has an earlier deadline than the
-  // one staged in the mailbox, swap them (possible only while the staged
-  // frame is not on the wire — transmission is non-preemptable).
-  if (in_flight_ && !queue_.empty() &&
-      queue_.earliest_deadline() < in_flight_->msg.deadline) {
-    if (ctx_.controller.abort(in_flight_->mailbox)) {
+  // one staged in the mailbox, pull the staged one back (possible only
+  // while its frame is not on the wire — transmission is non-preemptable).
+  // It keeps its place in the store.
+  if (staged_ &&
+      queue_.begin()->first.deadline < staged_->entry->first.deadline) {
+    if (ctx_.controller.abort(staged_->mailbox)) {
       ++counters_.preemptions;
       ctx_.sim.cancel(promotion_timer_);
-      Message back = std::move(in_flight_->msg);
-      in_flight_.reset();
-      Record& rec = records_.at(back.uid);
-      rec.queued = queue_.push(back.deadline, std::move(back));
+      staged_.reset();
     }
   }
 
-  if (in_flight_ || queue_.empty()) return;
-
-  std::optional<Message> next = queue_.pop();
-  assert(next);
-  start_transmission(std::move(*next));
+  if (staged_ || queue_.empty()) return;
+  start_transmission(queue_.begin());
 }
 
-void SrtEngine::start_transmission(Message msg) {
+void SrtEngine::start_transmission(Queue::iterator it) {
   const TimePoint now_local = ctx_.clock.now();
-  const Priority prio = map_.priority_for(now_local, msg.deadline);
+  const Priority prio = map_.priority_for(now_local, it->first.deadline);
+  Message& msg = it->second;
   msg.frame.id = encode_can_id({prio, ctx_.node, msg.etag});
 
-  const std::uint64_t uid = msg.uid;
   const auto result = ctx_.controller.submit(
       msg.frame, TxMode::kAutoRetransmit,
-      [this, uid](CanController::MailboxId, const CanFrame&, bool success,
-                  TimePoint) { on_tx_result(uid, success); });
+      [this, sequence = it->first.sequence](CanController::MailboxId,
+                                            const CanFrame&, bool success,
+                                            TimePoint) {
+        on_tx_result(sequence, success);
+      });
   if (!result) {
     // Controller unavailable (bus-off / mailboxes exhausted): drop the
     // message with its timers and report; the application reacts via its
     // exception handler.
-    const auto rec = records_.find(uid);
-    assert(rec != records_.end());
-    ctx_.sim.cancel(rec->second.deadline);
-    ctx_.sim.cancel(rec->second.expiration);
-    records_.erase(rec);
-    raise_on(msg.etag, ChannelError::kBusOff);
+    const Etag etag = msg.etag;
+    drop(it);
+    raise_on(etag, ChannelError::kBusOff);
     pump();
     return;
   }
-  in_flight_ = InFlight{std::move(msg), *result, prio};
+  staged_ = Staged{it, *result, prio};
   arm_promotion();
 }
 
 void SrtEngine::arm_promotion() {
-  assert(in_flight_);
+  assert(staged_);
   ctx_.sim.cancel(promotion_timer_);
-  const TimePoint due =
-      map_.next_promotion(ctx_.clock.now(), in_flight_->msg.deadline);
-  if (due == TimePoint::max()) return;  // already at the most urgent band
+  const TimePoint boundary =
+      map_.next_promotion(ctx_.clock.now(), staged_->entry->first.deadline);
+  if (boundary == TimePoint::max()) return;  // already at the most urgent band
+  // Bands follow the clock's quantized reading, and at a boundary between
+  // two ticks, or where a drifting clock's inverse lands a tick early, the
+  // clock still reads the old band. A timer firing there would re-arm at
+  // the same instant forever, so step to where the reading has arrived.
+  TimePoint due = boundary;
+  while (ctx_.clock.to_local(ctx_.clock.to_perfect(due)) < boundary)
+    due = due + ctx_.clock.granularity();
   promotion_timer_ =
       ctx_.clock.schedule_at_local(due, [this] { on_promotion_due(); });
 }
 
 void SrtEngine::on_promotion_due() {
-  if (!in_flight_) return;
+  if (!staged_) return;
   const TimePoint now_local = ctx_.clock.now();
-  const Priority target = map_.priority_for(now_local, in_flight_->msg.deadline);
-  if (target < in_flight_->current_priority) {
+  const Priority target =
+      map_.priority_for(now_local, staged_->entry->first.deadline);
+  if (target < staged_->current_priority) {
     const std::uint32_t new_id =
-        encode_can_id({target, ctx_.node, in_flight_->msg.etag});
-    if (ctx_.controller.rewrite_id(in_flight_->mailbox, new_id)) {
-      in_flight_->current_priority = target;
-      in_flight_->msg.frame.id = new_id;
+        encode_can_id({target, ctx_.node, staged_->entry->second.etag});
+    if (ctx_.controller.rewrite_id(staged_->mailbox, new_id)) {
+      staged_->current_priority = target;
       ++counters_.promotions;
     } else {
       // Frame currently on the wire; if the transmission fails the retry
@@ -168,61 +161,62 @@ void SrtEngine::on_promotion_due() {
   arm_promotion();
 }
 
-void SrtEngine::on_tx_result(std::uint64_t uid, bool success) {
-  if (!in_flight_ || in_flight_->msg.uid != uid) {
+void SrtEngine::on_tx_result(std::uint64_t sequence, bool success) {
+  if (!staged_ || staged_->entry->first.sequence != sequence) {
     // Result for a message that was aborted (expired) between the wire and
     // this callback; nothing to do.
     pump();
     return;
   }
-  const Message msg = std::move(in_flight_->msg);
-  in_flight_.reset();
+  const auto it = staged_->entry;
+  staged_.reset();
   ctx_.sim.cancel(promotion_timer_);
 
   const TimePoint now_local = ctx_.clock.now();
+  const TimePoint deadline = it->first.deadline;
+  const Etag etag = it->second.etag;
+  drop(it);
   if (success) {
     ++counters_.sent;
-    if (now_local <= msg.deadline) ++counters_.sent_by_deadline;
+    if (now_local <= deadline) ++counters_.sent_by_deadline;
   } else {
-    raise_on(msg.etag, ChannelError::kBusOff);
+    raise_on(etag, ChannelError::kBusOff);
   }
-  const auto rec = records_.find(uid);
-  assert(rec != records_.end());
-  ctx_.sim.cancel(rec->second.deadline);
-  ctx_.sim.cancel(rec->second.expiration);
-  records_.erase(rec);
   pump();
 }
 
-void SrtEngine::on_deadline(std::uint64_t uid) {
+void SrtEngine::on_deadline(const Key& key) {
   // Still queued or in flight at the deadline → awareness notification;
   // the message keeps competing until its expiration (§2.2.2).
-  const auto rec = records_.find(uid);
-  if (rec == records_.end()) return;
+  const auto it = queue_.find(key);
+  if (it == queue_.end()) return;
   ++counters_.deadline_missed;
-  raise_on(rec->second.etag, ChannelError::kDeadlineMissed);
+  raise_on(it->second.etag, ChannelError::kDeadlineMissed);
 }
 
-void SrtEngine::on_expiration(std::uint64_t uid) {
+void SrtEngine::on_expiration(const Key& key) {
   // Validity gone: remove from the local send queue entirely (§2.2.2).
-  const auto rec = records_.find(uid);
-  if (rec == records_.end()) return;
-  const bool flying = in_flight_ && in_flight_->msg.uid == uid;
-  if (flying) {
+  const auto it = queue_.find(key);
+  if (it == queue_.end()) return;
+  const bool staged = staged_ && staged_->entry == it;
+  if (staged) {
     // Try to pull it out of the mailbox; if it is on the wire it will
     // complete anyway (non-preemptable).
-    if (!ctx_.controller.abort(in_flight_->mailbox)) return;
-    in_flight_.reset();
+    if (!ctx_.controller.abort(staged_->mailbox)) return;
+    staged_.reset();
     ctx_.sim.cancel(promotion_timer_);
-  } else {
-    [[maybe_unused]] const auto msg = queue_.remove(rec->second.queued);
-    assert(msg);
   }
-  const Etag etag = rec->second.etag;
-  records_.erase(rec);
+  const Etag etag = it->second.etag;
+  drop(it);
   ++counters_.expired;
   raise_on(etag, ChannelError::kExpired);
-  if (flying) pump();
+  if (staged) pump();
+}
+
+void SrtEngine::drop(Queue::iterator it) {
+  ctx_.sim.cancel(it->second.deadline_timer);
+  ctx_.sim.cancel(it->second.expiration_timer);
+  queue_.erase(it);
 }
 
 void SrtEngine::raise_on(Etag etag, ChannelError e) {

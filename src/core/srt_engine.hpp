@@ -1,5 +1,6 @@
 #pragma once
 
+#include <compare>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -11,7 +12,6 @@
 #include "core/event.hpp"
 #include "core/node_context.hpp"
 #include "core/subscription.hpp"
-#include "sched/edf_queue.hpp"
 #include "sched/id_codec.hpp"
 #include "sched/priority_map.hpp"
 #include "util/expected.hpp"
@@ -20,8 +20,13 @@
 /// Soft real-time event channels (paper §2.2.2, §3.4): no reservations;
 /// events carry a transmission deadline and an expiration (validity) time.
 ///
-/// Local EDF: all queued SRT messages of this node are ordered by deadline;
-/// only the earliest occupies a controller TX mailbox.
+/// Local EDF: all pending SRT messages of this node live in one store
+/// ordered by (deadline, arrival sequence), from publish until they are
+/// sent, expire or are refused; only the earliest occupies a controller TX
+/// mailbox. Equal deadlines leave in arrival order. A staged message keeps
+/// its place in the store, so one preempted by an earlier deadline (its
+/// mailbox aborted) still goes ahead of every equal-deadline message that
+/// arrived after it.
 /// Global EDF via priorities: the mailbox identifier carries the priority
 /// band from DeadlinePriorityMap; as laxity shrinks across Δt_p boundaries
 /// the engine *promotes* the message by rewriting the mailbox identifier
@@ -75,9 +80,8 @@ class SrtEngine {
 
   [[nodiscard]] const Counters& counters() const { return counters_; }
   [[nodiscard]] const DeadlinePriorityMap& priority_map() const { return map_; }
-  [[nodiscard]] std::size_t queue_length() const {
-    return queue_.size() + (in_flight_ ? 1 : 0);
-  }
+  /// Messages queued or staged.
+  [[nodiscard]] std::size_t queue_length() const { return queue_.size(); }
 
  private:
   struct Publication : ChannelEnd {
@@ -86,39 +90,40 @@ class SrtEngine {
     Duration default_expiration = Duration::milliseconds(20);
   };
 
-  struct Message {
-    std::uint64_t uid = 0;
-    Etag etag = 0;
-    CanFrame frame;
+  /// Store key: the deadline, then the arrival sequence (unique per
+  /// engine), so equal deadlines keep arrival order.
+  struct Key {
     TimePoint deadline;
-    TimePoint expiration;
-    TimePoint enqueued;
+    std::uint64_t sequence = 0;
+    friend auto operator<=>(const Key&, const Key&) = default;
   };
 
-  struct InFlight {
-    Message msg;
+  struct Message {
+    Etag etag = 0;
+    CanFrame frame;
+    Simulator::TimerHandle deadline_timer;
+    Simulator::TimerHandle expiration_timer;
+  };
+
+  using Queue = std::map<Key, Message>;
+
+  /// The message occupying the TX mailbox; it stays in queue_.
+  struct Staged {
+    Queue::iterator entry;
     CanController::MailboxId mailbox = 0;
     Priority current_priority = kSrtPriorityMax;
   };
 
-  /// One message's bookkeeping, keyed by uid. A record exists exactly
-  /// while its message is queued or in flight: every path that drops a
-  /// message erases it.
-  struct Record {
-    Etag etag = 0;
-    /// Position in queue_; stale while the message is in flight.
-    EdfQueue<Message>::Handle queued;
-    Simulator::TimerHandle deadline;
-    Simulator::TimerHandle expiration;
-  };
-
   void pump();
-  void start_transmission(Message msg);
+  void start_transmission(Queue::iterator it);
   void arm_promotion();
   void on_promotion_due();
-  void on_tx_result(std::uint64_t uid, bool success);
-  void on_deadline(std::uint64_t uid);
-  void on_expiration(std::uint64_t uid);
+  void on_tx_result(std::uint64_t sequence, bool success);
+  void on_deadline(const Key& key);
+  void on_expiration(const Key& key);
+  /// The one way a message leaves the store: cancels its timers (a no-op
+  /// for one that has fired) and erases it.
+  void drop(Queue::iterator it);
   /// Raises `e` on the publication of `etag`, if it still exists: queued
   /// messages outlive cancel_publication().
   void raise_on(Etag etag, ChannelError e);
@@ -126,12 +131,11 @@ class SrtEngine {
   NodeContext ctx_;
   DeadlinePriorityMap map_;
   std::map<Etag, Publication> publications_;
-  EdfQueue<Message> queue_;
-  std::optional<InFlight> in_flight_;
+  Queue queue_;
+  std::optional<Staged> staged_;
   Simulator::TimerHandle promotion_timer_;
-  std::map<std::uint64_t, Record> records_;
   std::vector<std::unique_ptr<Subscription>> subscriptions_;
-  std::uint64_t next_uid_ = 1;
+  std::uint64_t next_sequence_ = 1;
   Counters counters_;
 };
 

@@ -21,9 +21,15 @@ namespace rtec {
 
 class LocalClock {
  public:
+  /// Largest |rate error| the clock accepts, in ppb (|r| <= 1e-3). Within
+  /// it the skew products cannot overflow, and to_perfect stays within
+  /// about r^3 * dl of the true inverse.
+  static constexpr std::int64_t kMaxDriftPpb = 1'000'000;
+
   /// \param sim         simulation kernel supplying perfect time
   /// \param offset      initial offset of the local clock vs perfect time
-  /// \param drift_ppb   rate error in parts per billion (positive = fast)
+  /// \param drift_ppb   rate error in parts per billion (positive = fast),
+  ///                    at most kMaxDriftPpb in magnitude
   /// \param granularity reading resolution (MCU timer tick); readings are
   ///                    truncated to multiples of this
   LocalClock(Simulator& sim, Duration offset, std::int64_t drift_ppb,
@@ -37,14 +43,17 @@ class LocalClock {
   [[nodiscard]] TimePoint to_local(TimePoint perfect) const;
 
   /// Perfect instant at which this clock will read `local` (inverse of
-  /// to_local up to quantization). Used to arm timers at local deadlines.
+  /// to_local up to quantization and a small residual, a few ns at 100 ppm,
+  /// so the reading there can fall one tick short of `local`). Used to arm
+  /// timers at local deadlines.
   [[nodiscard]] TimePoint to_perfect(TimePoint local) const;
 
   /// Steps the clock by `delta` (positive = forward), rebasing at now.
   void adjust(Duration delta);
 
   /// Adds `ppb_delta` to the clock rate (rate-correction servo), rebasing
-  /// at now so past readings are unaffected.
+  /// at now so past readings are unaffected. The sum stays within
+  /// kMaxDriftPpb.
   void adjust_rate(std::int64_t ppb_delta);
 
   [[nodiscard]] std::int64_t drift_ppb() const { return drift_ppb_; }

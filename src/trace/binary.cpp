@@ -1,6 +1,7 @@
 #include "trace/binary.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cstring>
 
@@ -320,6 +321,38 @@ void RtebWriter::add_handoff(TimePoint send, TimePoint release,
 // ---------------------------------------------------------------------------
 // RtebReader
 // ---------------------------------------------------------------------------
+
+bool same_record(const RtebRecord& a, const RtebRecord& b) {
+  if (a.kind != b.kind) return false;
+  switch (a.kind) {
+    case RtebKind::kFrame: {
+      const RtebFrame& x = a.frame;
+      const RtebFrame& y = b.frame;
+      return x.at == y.at && x.frame.id == y.frame.id &&
+             x.frame.extended == y.frame.extended &&
+             x.frame.rtr == y.frame.rtr && x.frame.dlc == y.frame.dlc &&
+             x.frame.data == y.frame.data && x.sender == y.sender &&
+             x.success == y.success && x.collision == y.collision &&
+             x.wire_bits == y.wire_bits && x.attempt == y.attempt;
+    }
+    case RtebKind::kAlarm: {
+      const RtebAlarm& x = a.alarm;
+      const RtebAlarm& y = b.alarm;
+      return x.at == y.at && x.detector == y.detector &&
+             std::bit_cast<std::uint64_t>(x.score) ==
+                 std::bit_cast<std::uint64_t>(y.score) &&
+             x.id == y.id && x.unknown_id == y.unknown_id;
+    }
+    case RtebKind::kHandoff: {
+      const RtebHandoff& x = a.handoff;
+      const RtebHandoff& y = b.handoff;
+      return x.send == y.send && x.release == y.release &&
+             x.channel == y.channel && x.seq == y.seq;
+    }
+    default:
+      return false;
+  }
+}
 
 Expected<RtebReader, std::string> RtebReader::open(std::string_view data) {
   if (data.size() < kRtebHeaderSize)

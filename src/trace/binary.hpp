@@ -134,6 +134,10 @@ struct RtebRecord {
 static_assert(sizeof(RtebRecord) <= 48,
               "a decoded record must stay within 48 bytes");
 
+/// Equality of two decoded records, field by field, reading only the
+/// member `kind` names (the score bitwise, so a NaN equals itself).
+[[nodiscard]] bool same_record(const RtebRecord& a, const RtebRecord& b);
+
 /// Serializes records into the RTEB byte stream, encoding each record in
 /// place at the end of its buffer. Memory-backed by default (bytes() holds
 /// the whole stream — tests, byte-identity diffs); with a path the writer

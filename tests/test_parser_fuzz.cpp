@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <bit>
 #include <cstdint>
 #include <fstream>
 #include <functional>
@@ -241,40 +240,6 @@ TEST(Rteb, RecordedScenarioStreamPinned) {
       << "tools/fixtures/recorded.rteb differs from the recorded stream";
 }
 
-/// Field-by-field equality of two decoded records, reading only the
-/// member that `kind` names (the score bitwise, so NaNs compare).
-bool same_record(const trace::RtebRecord& a, const trace::RtebRecord& b) {
-  if (a.kind != b.kind) return false;
-  switch (a.kind) {
-    case trace::RtebKind::kFrame: {
-      const trace::RtebFrame& x = a.frame;
-      const trace::RtebFrame& y = b.frame;
-      return x.at == y.at && x.frame.id == y.frame.id &&
-             x.frame.extended == y.frame.extended &&
-             x.frame.rtr == y.frame.rtr && x.frame.dlc == y.frame.dlc &&
-             x.frame.data == y.frame.data && x.sender == y.sender &&
-             x.success == y.success && x.collision == y.collision &&
-             x.wire_bits == y.wire_bits && x.attempt == y.attempt;
-    }
-    case trace::RtebKind::kAlarm: {
-      const trace::RtebAlarm& x = a.alarm;
-      const trace::RtebAlarm& y = b.alarm;
-      return x.at == y.at && x.detector == y.detector &&
-             std::bit_cast<std::uint64_t>(x.score) ==
-                 std::bit_cast<std::uint64_t>(y.score) &&
-             x.id == y.id && x.unknown_id == y.unknown_id;
-    }
-    case trace::RtebKind::kHandoff: {
-      const trace::RtebHandoff& x = a.handoff;
-      const trace::RtebHandoff& y = b.handoff;
-      return x.send == y.send && x.release == y.release &&
-             x.channel == y.channel && x.seq == y.seq;
-    }
-    default:
-      return false;
-  }
-}
-
 TEST(ParserFuzz, RtebReader) {
   const std::string rteb = recorded_rteb();
   auto recording = trace::RtebReader::open(rteb);
@@ -329,7 +294,7 @@ TEST(ParserFuzz, RtebReader) {
           c.fail("read_all grew its vector instead of allocating once", doc);
         } else if (!std::equal(records->begin(), records->end(),
                                stepped.begin(), stepped.end(),
-                               same_record)) {
+                               trace::same_record)) {
           c.fail("read_all and next() decode different records", doc);
         }
 

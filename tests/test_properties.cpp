@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <map>
 #include <vector>
 
 #include "canbus/frame.hpp"
@@ -9,7 +8,6 @@
 #include "core/scenario.hpp"
 #include "core/srtec.hpp"
 #include "sched/calendar.hpp"
-#include "sched/edf_queue.hpp"
 #include "sched/priority_map.hpp"
 #include "util/random.hpp"
 #include "util/task_pool.hpp"
@@ -103,56 +101,6 @@ TEST_P(CalendarAdmissionProperty, AcceptedSlotsNeverOverlapOnTheRoundCircle) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CalendarAdmissionProperty,
                          ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34));
-
-// ------------------------------------------------------- EDF queue vs model
-
-TEST(EdfQueueProperty, MatchesReferenceModelUnderRandomOps) {
-  Rng rng{424242};
-  EdfQueue<int> q;
-  std::multimap<std::pair<std::int64_t, std::uint64_t>, int> model;
-  std::map<int, EdfQueue<int>::Handle> handles;
-  std::uint64_t seq = 0;
-  int next_val = 0;
-
-  for (int op = 0; op < 20'000; ++op) {
-    const double dice = rng.uniform();
-    if (dice < 0.5) {
-      const auto deadline = rng.uniform_int(0, 1'000'000);
-      const int val = next_val++;
-      handles[val] = q.push(TimePoint::from_ns(deadline), val);
-      model.emplace(std::make_pair(deadline, seq++), val);
-    } else if (dice < 0.8) {
-      const auto got = q.pop();
-      if (model.empty()) {
-        EXPECT_EQ(got, std::nullopt);
-      } else {
-        ASSERT_TRUE(got.has_value());
-        EXPECT_EQ(*got, model.begin()->second);
-        handles.erase(model.begin()->second);
-        model.erase(model.begin());
-      }
-    } else if (!handles.empty()) {
-      // Remove a random element by handle.
-      auto it = handles.begin();
-      std::advance(it, rng.uniform_int(0, static_cast<std::int64_t>(
-                                              handles.size()) - 1));
-      const auto removed = q.remove(it->second);
-      ASSERT_TRUE(removed.has_value());
-      EXPECT_EQ(*removed, it->first);
-      for (auto m = model.begin(); m != model.end(); ++m) {
-        if (m->second == it->first) {
-          model.erase(m);
-          break;
-        }
-      }
-      handles.erase(it);
-    }
-    ASSERT_EQ(q.size(), model.size());
-    if (!model.empty()) {
-      EXPECT_EQ(q.earliest_deadline().ns(), model.begin()->first.first);
-    }
-  }
-}
 
 // --------------------------------------------------- priority map properties
 

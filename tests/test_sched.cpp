@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include "sched/calendar.hpp"
-#include "sched/edf_queue.hpp"
 #include "sched/id_codec.hpp"
 #include "sched/priority_map.hpp"
 #include "sched/wctt.hpp"
@@ -240,51 +239,6 @@ TEST(Calendar, ReservedFractionAccounting) {
       static_cast<double>((t.deadline_offset - t.ready_offset + 40_us).ns()) /
       1e7;
   EXPECT_NEAR(cal.reserved_fraction(), expect, 1e-12);
-}
-
-// ---------------------------------------------------------------- edf queue
-
-TEST(EdfQueue, PopsInDeadlineOrder) {
-  EdfQueue<int> q;
-  (void)q.push(TimePoint::origin() + 3_ms, 3);
-  (void)q.push(TimePoint::origin() + 1_ms, 1);
-  (void)q.push(TimePoint::origin() + 2_ms, 2);
-  EXPECT_EQ(q.pop(), 1);
-  EXPECT_EQ(q.pop(), 2);
-  EXPECT_EQ(q.pop(), 3);
-  EXPECT_EQ(q.pop(), std::nullopt);
-}
-
-TEST(EdfQueue, FifoAmongEqualDeadlines) {
-  EdfQueue<int> q;
-  const TimePoint d = TimePoint::origin() + 1_ms;
-  (void)q.push(d, 10);
-  (void)q.push(d, 20);
-  (void)q.push(d, 30);
-  EXPECT_EQ(q.pop(), 10);
-  EXPECT_EQ(q.pop(), 20);
-  EXPECT_EQ(q.pop(), 30);
-}
-
-TEST(EdfQueue, RemoveByHandle) {
-  EdfQueue<int> q;
-  const auto h1 = q.push(TimePoint::origin() + 1_ms, 1);
-  (void)q.push(TimePoint::origin() + 2_ms, 2);
-  EXPECT_TRUE(q.contains(h1));
-  EXPECT_EQ(q.remove(h1), 1);
-  EXPECT_FALSE(q.contains(h1));
-  EXPECT_EQ(q.remove(h1), std::nullopt);  // already gone
-  EXPECT_EQ(q.size(), 1u);
-  EXPECT_EQ(q.pop(), 2);
-}
-
-TEST(EdfQueue, PeekDoesNotRemove) {
-  EdfQueue<int> q;
-  (void)q.push(TimePoint::origin() + 5_ms, 42);
-  ASSERT_NE(q.peek(), nullptr);
-  EXPECT_EQ(*q.peek(), 42);
-  EXPECT_EQ(q.earliest_deadline().ns(), (5_ms).ns());
-  EXPECT_EQ(q.size(), 1u);
 }
 
 // -------------------------------------------------------------- priority map

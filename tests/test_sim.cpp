@@ -158,6 +158,21 @@ TEST(LocalClock, DriftAccumulates) {
   EXPECT_EQ(fast.now().ns(), 1'000'100'000);
 }
 
+TEST(LocalClockDeathTest, RateBeyondMaxDriftIsRefused) {
+  Simulator sim;
+  EXPECT_DEBUG_DEATH(
+      (LocalClock(sim, Duration::zero(), LocalClock::kMaxDriftPpb + 1, 1_ns)),
+      "");
+  EXPECT_DEBUG_DEATH(
+      (LocalClock(sim, Duration::zero(), -LocalClock::kMaxDriftPpb - 1, 1_ns)),
+      "");
+  // The bound itself is accepted; one servo step past it is not.
+  LocalClock clk{sim, Duration::zero(), LocalClock::kMaxDriftPpb, 1_ns};
+  clk.adjust_rate(-2 * LocalClock::kMaxDriftPpb);
+  EXPECT_EQ(clk.drift_ppb(), -LocalClock::kMaxDriftPpb);
+  EXPECT_DEBUG_DEATH(clk.adjust_rate(-1), "");
+}
+
 TEST(LocalClock, GranularityQuantizesReadings) {
   Simulator sim;
   LocalClock clk{sim, Duration::zero(), 0, 10_us};

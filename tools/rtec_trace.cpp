@@ -1,4 +1,5 @@
 #include <cinttypes>
+#include <cstdarg>
 #include <cstdio>
 #include <cstring>
 #include <set>
@@ -18,6 +19,9 @@
 ///   rtec_trace to-candump <trace.rteb> [iface] candump text on stdout
 ///   rtec_trace from-candump <log> [network]    RTEB stream on stdout
 ///   rtec_trace diff <a.rteb> <b.rteb>          first divergent record
+///
+/// diff compares decoded records field by field (trace::same_record) and
+/// prints the first pair that differs.
 ///
 /// Exit codes follow the repo's CLI convention: 0 success, 1 a
 /// content-level failure (corrupt trace, traces differ), 2 usage / I/O.
@@ -40,49 +44,62 @@ int usage() {
   return 2;
 }
 
+/// printf onto the end of `out`, at whatever length the text has.
+[[gnu::format(printf, 2, 3)]] void appendf(std::string& out, const char* fmt,
+                                           ...) {
+  std::va_list args;
+  va_start(args, fmt);
+  std::va_list again;
+  va_copy(again, args);
+  const int n = std::vsnprintf(nullptr, 0, fmt, args);
+  va_end(args);
+  if (n > 0) {
+    const std::size_t at = out.size();
+    out.resize(at + static_cast<std::size_t>(n) + 1);
+    std::vsnprintf(out.data() + at, static_cast<std::size_t>(n) + 1, fmt,
+                   again);
+    out.resize(at + static_cast<std::size_t>(n));
+  }
+  va_end(again);
+}
+
 /// Renders one decoded record as a stable single line (inspect and diff
 /// share it, so diff messages look like inspect output).
 std::string format_record(const RtebRecord& r) {
-  char buf[256];
+  std::string line;
   switch (r.kind) {
     case rtec::trace::RtebKind::kFrame: {
       const auto& f = r.frame;
-      std::string data;
+      appendf(line, "frame t=%" PRId64 "ns id=0x%X%s sender=%u dlc=%u data=",
+              f.at.ns(), f.frame.id, f.frame.extended ? "x" : "",
+              static_cast<unsigned>(f.sender),
+              static_cast<unsigned>(f.frame.dlc));
       if (f.frame.rtr) {
-        data = "R";
+        line += 'R';
       } else {
-        for (std::uint8_t i = 0; i < f.frame.dlc; ++i) {
-          char b[4];
-          std::snprintf(b, sizeof b, "%02X", f.frame.data[i]);
-          data += b;
-        }
+        for (std::uint8_t i = 0; i < f.frame.dlc; ++i)
+          appendf(line, "%02X", f.frame.data[i]);
       }
-      std::snprintf(buf, sizeof buf,
-                    "frame t=%" PRId64 "ns id=0x%X%s sender=%u dlc=%u"
-                    " data=%s %s%s wire_bits=%d attempt=%d",
-                    f.at.ns(), f.frame.id, f.frame.extended ? "x" : "",
-                    static_cast<unsigned>(f.sender),
-                    static_cast<unsigned>(f.frame.dlc), data.c_str(),
-                    f.success ? "ok" : "error",
-                    f.collision ? " collision" : "", f.wire_bits, f.attempt);
-      return buf;
+      appendf(line, " %s%s wire_bits=%d attempt=%d",
+              f.success ? "ok" : "error", f.collision ? " collision" : "",
+              f.wire_bits, f.attempt);
+      return line;
     }
     case rtec::trace::RtebKind::kAlarm: {
       const auto& a = r.alarm;
-      std::snprintf(buf, sizeof buf,
-                    "alarm t=%" PRId64 "ns detector=%.*s id=0x%X score=%.17g%s",
-                    a.at.ns(), static_cast<int>(a.detector.size()),
-                    a.detector.data(), a.id, a.score,
-                    a.unknown_id ? " unknown-id" : "");
-      return buf;
+      appendf(line, "alarm t=%" PRId64 "ns detector=%.*s id=0x%X score=%.17g%s",
+              a.at.ns(), static_cast<int>(a.detector.size()),
+              a.detector.data(), a.id, a.score,
+              a.unknown_id ? " unknown-id" : "");
+      return line;
     }
     case rtec::trace::RtebKind::kHandoff: {
       const auto& h = r.handoff;
-      std::snprintf(buf, sizeof buf,
-                    "handoff send=%" PRId64 "ns release=%" PRId64
-                    "ns channel=%u seq=%" PRIu64,
-                    h.send.ns(), h.release.ns(), h.channel, h.seq);
-      return buf;
+      appendf(line,
+              "handoff send=%" PRId64 "ns release=%" PRId64
+              "ns channel=%u seq=%" PRIu64,
+              h.send.ns(), h.release.ns(), h.channel, h.seq);
+      return line;
     }
     default: return "unknown";
   }
@@ -209,11 +226,9 @@ int cmd_diff(const std::string& path_a, const std::string& data_a,
                   format_record(ea ? **rb : **ra).c_str());
       return 1;
     }
-    const std::string la = format_record(**ra);
-    const std::string lb = format_record(**rb);
-    if (la != lb) {
+    if (!rtec::trace::same_record(**ra, **rb)) {
       std::printf("traces diverge at record %" PRIu64 ":\n  a: %s\n  b: %s\n",
-                  i, la.c_str(), lb.c_str());
+                  i, format_record(**ra).c_str(), format_record(**rb).c_str());
       return 1;
     }
   }
